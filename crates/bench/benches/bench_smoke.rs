@@ -1,8 +1,8 @@
-//! Perf-smoke regression gate: quickly re-measures the kernel suite and
-//! the staged-walk suite, and fails (exit 1) if any pinned metric
-//! regressed more than [`PERF_SMOKE_THRESHOLD`]× against its checked-in
-//! baseline (`BENCH_kernels.json` for the kernels,
-//! `BENCH_pipeline.json` for the sequential/pipelined staged walks).
+//! Perf-smoke regression gate: quickly re-measures the kernel suite (the
+//! mesh and GEMM kernels plus the sequential staged LeNet walk), and
+//! fails (exit 1) if any pinned metric regressed more than
+//! [`PERF_SMOKE_THRESHOLD`]× against its checked-in `BENCH_kernels.json`
+//! baseline.
 //!
 //! This is the CI tripwire behind the repo's perf trajectory: the 6.4×
 //! compiled-mesh speedup and the lane-kernel numbers can only move
@@ -92,6 +92,28 @@ fn measure() -> Vec<(&'static str, f64)> {
         criterion::black_box(dy.matmul_tn(&x));
     });
 
+    // The staged LeNet walk (same model and seeds as `kernel_compute`,
+    // fewer samples and repetitions).
+    const WALK_SAMPLES: usize = 128;
+    let mut rng = StdRng::seed_from_u64(23);
+    let view = CTensor::new(
+        Tensor::random_uniform(&[WALK_SAMPLES, 1, 16, 16], 1.0, &mut rng),
+        Tensor::random_uniform(&[WALK_SAMPLES, 1, 16, 16], 1.0, &mut rng),
+    );
+    let mut rng = StdRng::seed_from_u64(17);
+    let cfg = LenetConfig::training_scale(2, 16, 10).halved();
+    let net = build_lenet(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
+    let mut lenet = InferenceEngine::from_network_shaped(
+        &net,
+        Some((cfg.in_ch, cfg.input_h, cfg.input_w)),
+        DeployedDetection::Differential,
+        MeshStyle::Clements,
+    )
+    .expect("LeNet deploys");
+    let t_walk = timed(2, || {
+        lenet.predict_batch(&view).expect("staged walk");
+    });
+
     vec![
         ("mesh16_interpreted_ns_per_sample", interp * 1e9),
         ("mesh16_compiled_ns_per_sample", comp * 1e9),
@@ -99,47 +121,9 @@ fn measure() -> Vec<(&'static str, f64)> {
         ("gemm_transpose_then_matmul_ms", t_transpose * 1e3),
         ("gemm_matmul_nt_ms", t_nt * 1e3),
         ("gemm_matmul_tn_ms", t_tn * 1e3),
-    ]
-}
-
-/// Re-measures the pinned staged-walk metrics (same model, seeds and
-/// shapes as the `stage_pipeline` bench, fewer samples/repetitions).
-/// Returns `(baseline_key, measured_value)` pairs; smaller is better.
-fn measure_pipeline() -> Vec<(&'static str, f64)> {
-    const SAMPLES: usize = 128;
-    let mut rng = StdRng::seed_from_u64(23);
-    let view = CTensor::new(
-        Tensor::random_uniform(&[SAMPLES, 1, 16, 16], 1.0, &mut rng),
-        Tensor::random_uniform(&[SAMPLES, 1, 16, 16], 1.0, &mut rng),
-    );
-    let mut rng = StdRng::seed_from_u64(17);
-    let cfg = LenetConfig::training_scale(2, 16, 10).halved();
-    let net = build_lenet(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
-    let deploy = || {
-        InferenceEngine::from_network_shaped(
-            &net,
-            Some((cfg.in_ch, cfg.input_h, cfg.input_w)),
-            DeployedDetection::Differential,
-            MeshStyle::Clements,
-        )
-        .expect("LeNet deploys")
-    };
-    let mut seq = deploy();
-    let mut pip = deploy().with_stage_pipeline(true);
-    let t_seq = timed(2, || {
-        seq.predict_batch(&view).expect("sequential");
-    });
-    let t_pip = timed(2, || {
-        pip.predict_batch(&view).expect("pipelined");
-    });
-    vec![
         (
             "staged_walk_sequential_us_per_sample",
-            t_seq * 1e6 / SAMPLES as f64,
-        ),
-        (
-            "staged_walk_pipelined_us_per_sample",
-            t_pip * 1e6 / SAMPLES as f64,
+            t_walk * 1e6 / WALK_SAMPLES as f64,
         ),
     ]
 }
@@ -201,16 +185,12 @@ fn main() {
     }
 
     let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    let pipeline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    let mut failed = gate(kernels, measure, handicap);
-    failed |= gate(pipeline, measure_pipeline, handicap);
-    if failed {
+    if gate(kernels, measure, handicap) {
         println!(
             "perf-smoke FAIL: at least one metric regressed beyond \
              {PERF_SMOKE_THRESHOLD}x its checked-in baseline. If a slowdown is \
              intentional, or a speedup legitimately moved the numbers, refresh \
-             the baseline with `cargo bench --bench kernel_compute` (kernels) \
-             or `cargo bench --bench stage_pipeline` (staged walks) and commit \
+             the baseline with `cargo bench --bench kernel_compute` and commit \
              the refreshed JSON."
         );
         std::process::exit(1);

@@ -18,6 +18,10 @@
 //! * `train_step_transpose2_materialisations` — transposed weight copies
 //!   per train epoch (expected **0** since the trainer runs on the
 //!   transpose-free kernels).
+//! * `staged_walk_sequential_us_per_sample` — one-worker engine time per
+//!   sample of a training-scale (halved) LeNet-5 body, seven deployed
+//!   stages, over 256 16×16 views: the conv lowering's im2col gathers and
+//!   compiled meshes end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oplix_linalg::CMatrix;
@@ -31,8 +35,13 @@ use oplix_nn::tensor::{transpose2_materialisations, Tensor};
 use oplix_nn::trainer::{train_epoch, CDataset};
 use oplix_photonics::clements::decompose_clements;
 use oplix_photonics::compiled::CompiledMesh;
+use oplix_photonics::decoder::DecoderKind;
 use oplix_photonics::mesh::MziMesh;
+use oplix_photonics::svd_map::MeshStyle;
+use oplixnet::engine::InferenceEngine;
 use oplixnet::pool;
+use oplixnet::zoo::{build_lenet, LenetConfig, ModelVariant};
+use oplixnet::DeployedDetection;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -161,6 +170,32 @@ fn report_kernel_baseline(_c: &mut Criterion) {
         t_tn * 1e3,
     );
 
+    // --- Staged walk: halved LeNet-5 (seven chips), one worker. ---
+    const WALK_SAMPLES: usize = 256;
+    let mut rng = StdRng::seed_from_u64(23);
+    let view = CTensor::new(
+        Tensor::random_uniform(&[WALK_SAMPLES, 1, 16, 16], 1.0, &mut rng),
+        Tensor::random_uniform(&[WALK_SAMPLES, 1, 16, 16], 1.0, &mut rng),
+    );
+    let mut rng = StdRng::seed_from_u64(17);
+    let cfg = LenetConfig::training_scale(2, 16, 10).halved();
+    let net = build_lenet(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
+    let mut lenet = InferenceEngine::from_network_shaped(
+        &net,
+        Some((cfg.in_ch, cfg.input_h, cfg.input_w)),
+        DeployedDetection::Differential,
+        MeshStyle::Clements,
+    )
+    .expect("LeNet deploys");
+    let staged_us = timed(3, || {
+        lenet.predict_batch(&view).expect("staged walk");
+    }) * 1e6
+        / WALK_SAMPLES as f64;
+    println!(
+        "staged walk over {} chips, {WALK_SAMPLES} samples: {staged_us:.1} us/sample",
+        lenet.deployed().num_stages(),
+    );
+
     // --- Executor launch overhead: fine-grained task lists. ---
     pool::set_jobs(4);
     let tasks = 64usize;
@@ -211,7 +246,8 @@ fn report_kernel_baseline(_c: &mut Criterion) {
          \"gemm_matmul_tn_ms\": {:.4},\n  \
          \"executor_launch_us_64_tasks\": {:.2},\n  \
          \"executor_workers_alive\": {},\n  \
-         \"train_step_transpose2_materialisations\": {}\n}}\n",
+         \"train_step_transpose2_materialisations\": {},\n  \
+         \"staged_walk_sequential_us_per_sample\": {:.3}\n}}\n",
         interp * 1e9,
         comp * 1e9,
         batch * 1e9,
@@ -222,6 +258,7 @@ fn report_kernel_baseline(_c: &mut Criterion) {
         exec * 1e6,
         pool::workers_alive(),
         train_transposes,
+        staged_us,
         meta_fields = meta.json_fields(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

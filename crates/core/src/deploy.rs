@@ -27,14 +27,11 @@ use oplix_photonics::count::DeviceCount;
 use oplix_photonics::loss_model::OpticalLossModel;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
 use rand::Rng;
-use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// im2col windows expanding to at least this many gathered fields
 /// (`samples × positions × patch_len`) fan the gather out across the
@@ -211,10 +208,9 @@ impl DeployedStage {
     /// Applies this stage (trailing electro-optic ReLU included) to a
     /// staged window: `buf.cur` holds `samples × width` fields on entry
     /// and the stage's output on return; the new per-sample width is
-    /// returned. This is the *one* per-stage transform in the codebase —
-    /// the sequential walk ([`DeployedFcnn::forward_staged`]) and the
-    /// stage-pipelined walk both call it verbatim, which is what makes
-    /// the two bitwise identical by construction.
+    /// returned. This is the *one* per-stage transform in the codebase:
+    /// every walk goes through [`DeployedFcnn::forward_staged`], which is
+    /// what keeps all entry points bitwise identical by construction.
     fn apply(&self, buf: &mut WindowBuffers, width: usize, samples: usize) -> usize {
         let WindowBuffers { cur, nxt, aux } = buf;
         let (out_width, relu_after) = match self {
@@ -966,212 +962,6 @@ impl DeployedFcnn {
             })
             .collect()
     }
-
-    /// The stage-pipelined counterpart of the sequential windowed walk:
-    /// the span's `total` rows are cut into windows of at most `window`
-    /// samples, the stage chain is partitioned into `helpers + 1`
-    /// contiguous segments (each deployed stage — physically one chip —
-    /// belongs to exactly one segment), and windows stream through the
-    /// segments concurrently over bounded rings of
-    /// [`STAGE_RING_WINDOWS`] windows each.
-    ///
-    /// The calling thread stages each window via `fill(lo, hi, buffer)`
-    /// (span-relative row range) and runs segment 0; each helper thread
-    /// runs one further segment; the last segment detects and collects
-    /// logits. Rings are FIFO with a single producer and consumer per
-    /// ring, so windows reach detection in submission order — the
-    /// returned logits are row-major over the span exactly like the
-    /// sequential walk's. Every segment applies [`DeployedStage::apply`]
-    /// to whole windows at the same window boundaries the sequential walk
-    /// uses, so the result is **bitwise identical** to
-    /// [`DeployedFcnn::forward_rows_into`] over the same rows at any
-    /// helper count.
-    ///
-    /// Also returns per-stage occupancy (windows seen, busy nanoseconds)
-    /// in stage order — the dynamic half of the multi-chip report whose
-    /// static half is [`DeployedFcnn::chip_reports`].
-    ///
-    /// Callers must hold a [`crate::pool`] pipeline reservation covering
-    /// the caller plus `helpers` threads; `helpers` must be ≥ 1 (with no
-    /// helper budget, fall back to the sequential walk) and the pipeline
-    /// must have at least 2 stages.
-    pub(crate) fn forward_windows_pipelined(
-        &self,
-        total: usize,
-        window: usize,
-        helpers: usize,
-        fill: &mut dyn FnMut(usize, usize, &mut Vec<Complex64>),
-    ) -> (Vec<f64>, Vec<StageOccupancy>) {
-        debug_assert!(helpers >= 1 && self.stages.len() >= 2 && window >= 1);
-        let stages = &self.stages[..];
-        let nseg = (helpers + 1).min(stages.len());
-        // Segment `s` covers stages `bounds[s]..bounds[s + 1]`: contiguous,
-        // balanced by stage count, every stage in exactly one segment.
-        let bounds: Vec<usize> = (0..=nseg).map(|s| s * stages.len() / nseg).collect();
-        let windows = total.div_ceil(window);
-        let rings: Vec<StageRing> = (0..nseg - 1).map(|_| StageRing::new()).collect();
-        // Spent window allocations flow back from the sink for reuse, so a
-        // long span settles into a fixed set of buffers.
-        let spares: Mutex<Vec<Vec<Complex64>>> = Mutex::new(Vec::new());
-        let input_width = self.input_dim();
-        let detection = self.detection;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nseg - 1);
-            for seg in 1..nseg {
-                let ring_in = &rings[seg - 1];
-                let ring_out = rings.get(seg);
-                let seg_stages = &stages[bounds[seg]..bounds[seg + 1]];
-                let (rings, spares) = (&rings[..], &spares);
-                handles.push(scope.spawn(move || {
-                    let run = || {
-                        let mut buf = WindowBuffers::default();
-                        let mut occ = vec![StageOccupancy::default(); seg_stages.len()];
-                        let mut sunk: Vec<Vec<f64>> = Vec::new();
-                        while let Some(mut msg) = ring_in.pop() {
-                            std::mem::swap(&mut buf.cur, &mut msg.fields);
-                            let mut width = msg.width;
-                            for (i, st) in seg_stages.iter().enumerate() {
-                                let clock = Instant::now();
-                                width = st.apply(&mut buf, width, msg.samples);
-                                occ[i].windows += 1;
-                                occ[i].busy_nanos += clock.elapsed().as_nanos() as u64;
-                            }
-                            std::mem::swap(&mut buf.cur, &mut msg.fields);
-                            msg.width = width;
-                            match ring_out {
-                                Some(ring) => {
-                                    if !ring.push(msg) {
-                                        break; // pipeline aborted downstream
-                                    }
-                                }
-                                None => {
-                                    // The sink: detect in arrival (= submission)
-                                    // order, recycle the window allocation.
-                                    let mut logits = Vec::new();
-                                    for row in msg.fields.chunks_exact(width.max(1)) {
-                                        detect(detection, row, &mut logits);
-                                    }
-                                    sunk.push(logits);
-                                    let mut fields = msg.fields;
-                                    fields.clear();
-                                    spares.lock().expect("pipeline spares").push(fields);
-                                }
-                            }
-                        }
-                        if let Some(ring) = ring_out {
-                            ring.close();
-                        }
-                        (occ, sunk)
-                    };
-                    match catch_unwind(AssertUnwindSafe(run)) {
-                        Ok(v) => v,
-                        Err(payload) => {
-                            // Wake every blocked neighbour before re-raising,
-                            // so the scope join cannot deadlock on a ring.
-                            for ring in rings {
-                                ring.abort();
-                            }
-                            resume_unwind(payload);
-                        }
-                    }
-                }));
-            }
-
-            // The calling thread is the source plus segment 0.
-            let feed = &mut |fill: &mut dyn FnMut(usize, usize, &mut Vec<Complex64>)| {
-                let mut buf = WindowBuffers::default();
-                let mut occ = vec![StageOccupancy::default(); bounds[1]];
-                for w in 0..windows {
-                    let lo = w * window;
-                    let hi = ((w + 1) * window).min(total);
-                    let mut fields = spares
-                        .lock()
-                        .expect("pipeline spares")
-                        .pop()
-                        .unwrap_or_default();
-                    fill(lo, hi, &mut fields);
-                    std::mem::swap(&mut buf.cur, &mut fields);
-                    let mut width = input_width;
-                    for (i, st) in stages[..bounds[1]].iter().enumerate() {
-                        let clock = Instant::now();
-                        width = st.apply(&mut buf, width, hi - lo);
-                        occ[i].windows += 1;
-                        occ[i].busy_nanos += clock.elapsed().as_nanos() as u64;
-                    }
-                    std::mem::swap(&mut buf.cur, &mut fields);
-                    let msg = WindowMsg {
-                        samples: hi - lo,
-                        width,
-                        fields,
-                    };
-                    if !rings[0].push(msg) {
-                        break; // pipeline aborted; the panic surfaces at join
-                    }
-                }
-                occ
-            };
-            let fed = catch_unwind(AssertUnwindSafe(|| feed(fill)));
-            match &fed {
-                Ok(_) => rings[0].close(),
-                Err(_) => {
-                    for ring in &rings {
-                        ring.abort();
-                    }
-                }
-            }
-
-            let mut occupancy: Vec<StageOccupancy> = match &fed {
-                Ok(occ) => occ.clone(),
-                Err(_) => vec![StageOccupancy::default(); bounds[1]],
-            };
-            let mut flat = Vec::new();
-            let mut panicked: Option<Box<dyn Any + Send>> = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok((occ, sunk)) => {
-                        occupancy.extend(occ);
-                        for logits in sunk {
-                            flat.extend_from_slice(&logits);
-                        }
-                    }
-                    Err(payload) => {
-                        if panicked.is_none() {
-                            panicked = Some(payload);
-                        }
-                    }
-                }
-            }
-            if let Err(payload) = fed {
-                resume_unwind(payload);
-            }
-            if let Some(payload) = panicked {
-                resume_unwind(payload);
-            }
-            (flat, occupancy)
-        })
-    }
-}
-
-/// Capacity, in staged sample windows, of each bounded ring buffer
-/// between two pipeline segments of the stage-pipelined window walk
-/// (`DeployedFcnn::forward_windows_pipelined`). Small on purpose: one
-/// window in flight plus one of slack keeps every chip busy while
-/// bounding the staged-field memory at `stages × windows × width`
-/// instead of the whole span.
-pub const STAGE_RING_WINDOWS: usize = 2;
-
-/// Dynamic per-stage counters of the stage-pipelined walk: how many
-/// windows a stage (chip) processed and how long it was busy. The
-/// *occupancy* half of the multi-chip report; the static physics half is
-/// [`ChipReport`]. Sequential walks leave these at zero — occupancy is a
-/// pipeline metric.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageOccupancy {
-    /// Sample windows this stage processed.
-    pub windows: u64,
-    /// Nanoseconds this stage spent transforming windows.
-    pub busy_nanos: u64,
 }
 
 /// Static per-chip physical budget of one deployed stage under an
@@ -1196,103 +986,6 @@ pub struct ChipReport {
     pub insertion_loss_db: f64,
     /// Time-of-flight latency in picoseconds, summed over both meshes.
     pub latency_ps: f64,
-}
-
-/// One staged sample window travelling between pipeline segments: the
-/// flat fields plus the per-sample width they are currently at. Windows
-/// are pushed in submission order and every ring is FIFO with one
-/// producer and one consumer, so order is preserved end to end.
-struct WindowMsg {
-    samples: usize,
-    width: usize,
-    fields: Vec<Complex64>,
-}
-
-struct RingState {
-    queue: VecDeque<WindowMsg>,
-    /// End of stream: no more windows will be pushed.
-    closed: bool,
-    /// Pipeline failure: a segment panicked; everyone stops immediately.
-    aborted: bool,
-}
-
-/// A bounded FIFO ring between two adjacent pipeline segments, capacity
-/// [`STAGE_RING_WINDOWS`]. `push` blocks while full (backpressure on the
-/// upstream chip), `pop` blocks while empty; `close` ends the stream
-/// after draining, `abort` wakes everyone for unwinding.
-struct StageRing {
-    state: Mutex<RingState>,
-    space: Condvar,
-    ready: Condvar,
-}
-
-impl StageRing {
-    fn new() -> Self {
-        StageRing {
-            state: Mutex::new(RingState {
-                queue: VecDeque::with_capacity(STAGE_RING_WINDOWS),
-                closed: false,
-                aborted: false,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Blocks until the ring has space; returns `false` (dropping the
-    /// window) if the pipeline aborted, telling the producer to stop.
-    fn push(&self, msg: WindowMsg) -> bool {
-        let mut st = self.state.lock().expect("stage ring");
-        loop {
-            if st.aborted {
-                return false;
-            }
-            if st.queue.len() < STAGE_RING_WINDOWS {
-                st.queue.push_back(msg);
-                drop(st);
-                self.ready.notify_one();
-                return true;
-            }
-            st = self.space.wait(st).expect("stage ring");
-        }
-    }
-
-    /// Blocks until a window arrives; `None` once the stream is closed
-    /// and drained (or aborted).
-    fn pop(&self) -> Option<WindowMsg> {
-        let mut st = self.state.lock().expect("stage ring");
-        loop {
-            if st.aborted {
-                return None;
-            }
-            if let Some(msg) = st.queue.pop_front() {
-                drop(st);
-                self.space.notify_one();
-                return Some(msg);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).expect("stage ring");
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().expect("stage ring");
-        st.closed = true;
-        drop(st);
-        self.ready.notify_all();
-    }
-
-    fn abort(&self) {
-        let mut st = self.state.lock().expect("stage ring");
-        st.aborted = true;
-        st.closed = true;
-        st.queue.clear();
-        drop(st);
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1813,64 +1506,6 @@ mod tests {
             for k in 0..2 {
                 assert!((optical[k] - soft.at2(i, k) as f64).abs() < 1e-3);
             }
-        }
-    }
-
-    #[test]
-    fn pipelined_windows_match_sequential_walk_bitwise() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let cfg = FcnnConfig {
-            input: 6,
-            hidden: 7,
-            classes: 2,
-        };
-        let net = build_fcnn(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
-        let deployed =
-            DeployedFcnn::from_network(&net, DeployedDetection::Differential, MeshStyle::Clements)
-                .expect("deployable");
-        assert!(deployed.num_stages() >= 2);
-
-        // A small window against many samples keeps several windows in
-        // flight at once, so the bounded rings exercise backpressure
-        // (ring capacity is STAGE_RING_WINDOWS windows).
-        let (total, window, d) = (37usize, 4usize, 6usize);
-        let view = random_view(total, d, 22);
-        let mut rows: Vec<Complex64> = Vec::with_capacity(total * d);
-        for i in 0..total {
-            for j in 0..d {
-                rows.push(Complex64::new(
-                    view.re.at2(i, j) as f64,
-                    view.im.at2(i, j) as f64,
-                ));
-            }
-        }
-
-        // The sequential reference at identical window boundaries.
-        let mut buf = WindowBuffers::default();
-        let mut logits = Vec::new();
-        let mut want = Vec::new();
-        for lo in (0..total).step_by(window) {
-            let hi = (lo + window).min(total);
-            deployed
-                .forward_rows_into(&rows[lo * d..hi * d], &mut buf, &mut logits)
-                .expect("sequential walk");
-            want.extend_from_slice(&logits);
-        }
-
-        for helpers in [1usize, 2, 7] {
-            let mut fill = |lo: usize, hi: usize, fields: &mut Vec<Complex64>| {
-                fields.clear();
-                fields.extend_from_slice(&rows[lo * d..hi * d]);
-            };
-            let (got, occ) = deployed.forward_windows_pipelined(total, window, helpers, &mut fill);
-            assert_eq!(got, want, "helpers {helpers}: pipelined walk diverged");
-            assert_eq!(occ.len(), deployed.num_stages(), "helpers {helpers}");
-            let seen: u64 = occ.iter().map(|o| o.windows).sum();
-            assert_eq!(
-                seen as usize,
-                deployed.num_stages() * total.div_ceil(window),
-                "helpers {helpers}: every stage sees every window exactly once"
-            );
         }
     }
 

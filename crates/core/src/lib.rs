@@ -143,11 +143,9 @@ pub mod zoo;
 
 pub use deploy::{
     clear_deploy_cache, deploy_cache_stats, ChipReport, DeployCacheStats, DeployedDetection,
-    DeployedFcnn, StageOccupancy,
+    DeployedFcnn,
 };
-pub use engine::{
-    Confidence, DriftSession, EngineStats, InferenceEngine, StageStats, StreamingReport,
-};
+pub use engine::{Confidence, DriftSession, EngineStats, InferenceEngine, StreamingReport};
 pub use error::Error;
 pub use pipeline::{OplixNetBuilder, OplixNetOutcome, OplixNetPipeline, OutcomeSummary};
 pub use router::{

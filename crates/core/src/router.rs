@@ -495,9 +495,7 @@ struct Lane {
     input_dim: usize,
     queue_cap: usize,
     /// Scheduling weight: the deployment's optical stage count (deeper
-    /// meshes cost more per sample), floored at 1. A stage-pipelined
-    /// lane keeps the same weight — pipelining changes how the lane's
-    /// share is used, not how much work each queued sample represents.
+    /// meshes cost more per sample), floored at 1.
     weight: u64,
     /// This lane's slot in the router-wide [`FairShare`] registry.
     fair_id: u64,
@@ -869,6 +867,7 @@ impl Router {
         let counters = Arc::new(Counters::default());
         let gate = Arc::new(VersionGate::new());
         let deadline_missed = Arc::new(AtomicU64::new(0));
+        let rack = EngineRack::new(engine, &counters);
         let handle = {
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
@@ -879,7 +878,7 @@ impl Router {
                 .name(format!("oplix-route-{name}"))
                 .spawn(move || {
                     lane_batcher(
-                        engine,
+                        rack,
                         rx,
                         policy,
                         stop,
@@ -1270,7 +1269,7 @@ fn lane_serve_batch(
 /// On shutdown, drain to empty so no admitted ticket is lost.
 #[allow(clippy::too_many_arguments)]
 fn lane_batcher(
-    engine: InferenceEngine,
+    mut rack: EngineRack,
     rx: mpsc::Receiver<LaneEnvelope>,
     policy: LanePolicy,
     stop: Arc<AtomicBool>,
@@ -1283,7 +1282,6 @@ fn lane_batcher(
     // Lane batchers are resident service threads, like the single-model
     // server's: claim one slot of the shared worker budget.
     let _slot = crate::pool::reserve_service_slot();
-    let mut rack = EngineRack::new(engine);
     let mut pending: EdfQueue<LaneRequest> = EdfQueue::new();
     let mut rows: Vec<Complex64> = Vec::new();
     let mut flush_seq: u64 = 0;
@@ -1401,7 +1399,6 @@ fn lane_batcher(
                     &mut rack, &policy, batch, &mut rows, &counters, &fair, fair_id, weight,
                     flush_seq, now, share,
                 );
-                counters.publish_stages(rack.stage_stats());
             }
             if control.is_none() || pending.is_empty() {
                 break;

@@ -71,7 +71,8 @@
 //! Everything is plain threads and channels — no async runtime, matching
 //! the workspace's std-only stance.
 
-use crate::engine::{argmax, Confidence, InferenceEngine, StageStats};
+use crate::deploy::ChipReport;
+use crate::engine::{argmax, Confidence, InferenceEngine};
 use crate::error::Error;
 use oplix_linalg::Complex64;
 use oplix_nn::ctensor::CTensor;
@@ -633,9 +634,10 @@ pub(crate) struct Counters {
     /// Version changes the batcher has applied (swaps and promotes).
     pub(crate) swaps: AtomicU64,
     pub(crate) waits: WaitTracker,
-    /// Latest per-stage chip/occupancy snapshot published by the batcher
-    /// after each served flush (empty until the first flush).
-    pub(crate) stages: Mutex<Vec<StageStats>>,
+    /// Chip reports of the serving version, published by its
+    /// [`EngineRack`] at launch and whenever a swap or promote replaces
+    /// the serving engine.
+    pub(crate) chip_reports: Mutex<Vec<ChipReport>>,
 }
 
 impl Counters {
@@ -645,10 +647,10 @@ impl Counters {
         self.depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publishes the serving engine's per-stage stats (chip reports plus
-    /// pipeline occupancy) for the next [`Counters::snapshot`].
-    pub(crate) fn publish_stages(&self, stages: Vec<StageStats>) {
-        *relock(self.stages.lock()) = stages;
+    /// Publishes the chip reports of a newly serving engine for every
+    /// later [`Counters::snapshot`].
+    pub(crate) fn publish_chip_reports(&self, engine: &InferenceEngine) {
+        *relock(self.chip_reports.lock()) = engine.deployed().chip_reports();
     }
 
     /// Snapshot of the counters in the public stats shape; the serving
@@ -665,7 +667,7 @@ impl Counters {
             version,
             swaps: self.swaps.load(Ordering::Relaxed),
             max_wait_observed: self.waits.max(),
-            stage_stats: relock(self.stages.lock()).clone(),
+            chip_reports: relock(self.chip_reports.lock()).clone(),
         }
     }
 }
@@ -699,12 +701,11 @@ pub struct ServerStats {
     pub swaps: u64,
     /// The longest admission-to-flush wait any request has observed.
     pub max_wait_observed: Duration,
-    /// Per-stage chip reports (mesh depth, insertion loss, latency) and
-    /// pipeline occupancy for the serving engine, one entry per deployed
-    /// stage, as of the last served flush. Empty before the first flush.
-    /// Occupancy counters stay zero unless the engine serves in
-    /// stage-pipelined mode ([`InferenceEngine::with_stage_pipeline`]).
-    pub stage_stats: Vec<StageStats>,
+    /// Chip reports (mesh depth, insertion loss, latency) of the serving
+    /// version, one entry per deployed stage. They depend only on the
+    /// deployment, so they are set at launch and replaced when a swap or
+    /// promote changes the serving engine; drift leaves them alone.
+    pub chip_reports: Vec<ChipReport>,
 }
 
 impl ServerStats {
@@ -733,7 +734,6 @@ pub struct ServerBuilder {
     max_wait: Duration,
     queue_cap: usize,
     workers: Option<usize>,
-    stage_pipeline: Option<bool>,
     confidence: Option<Confidence>,
     drift: Option<PhaseDrift>,
 }
@@ -745,7 +745,6 @@ impl Default for ServerBuilder {
             max_wait: Duration::from_millis(1),
             queue_cap: 1024,
             workers: None,
-            stage_pipeline: None,
             confidence: None,
             drift: None,
         }
@@ -784,16 +783,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Serves through the engine's stage-pipelined walk (see
-    /// [`InferenceEngine::with_stage_pipeline`]): windows stream through
-    /// the deployed stages concurrently, results stay bitwise identical
-    /// to the sequential walk. When unset, the engine keeps whatever
-    /// mode it was built with.
-    pub fn stage_pipeline(mut self, on: bool) -> Self {
-        self.stage_pipeline = Some(on);
-        self
-    }
-
     /// Installs an early-exit [`Confidence`] policy: low-confidence
     /// samples resolve to [`Prediction::Abstain`] and are counted in
     /// [`ServerStats::abstained`].
@@ -819,9 +808,6 @@ impl ServerBuilder {
         if let Some(w) = self.workers {
             engine.set_num_workers(w);
         }
-        if let Some(on) = self.stage_pipeline {
-            engine.set_stage_pipeline(on);
-        }
         let input_dim = engine.input_dim();
         let (tx, rx) = mpsc::sync_channel::<Envelope>(self.queue_cap);
         let stop = Arc::new(AtomicBool::new(false));
@@ -833,12 +819,13 @@ impl ServerBuilder {
             confidence: self.confidence,
         };
         let drift = self.drift;
+        let rack = EngineRack::new(engine, &counters);
         let handle = {
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
             thread::Builder::new()
                 .name("oplix-serve".into())
-                .spawn(move || batcher(engine, rx, policy, stop, counters, drift))
+                .spawn(move || batcher(rack, rx, policy, stop, counters, drift))
                 .expect("failed to spawn the serve batcher thread")
         };
         Server {
@@ -1520,7 +1507,11 @@ pub(crate) struct EngineRack {
 }
 
 impl EngineRack {
-    pub(crate) fn new(engine: InferenceEngine) -> Self {
+    /// A rack serving `engine` as version 1; its chip reports are
+    /// published into `counters` before the batcher starts, so stats
+    /// carry them from launch on.
+    pub(crate) fn new(engine: InferenceEngine, counters: &Counters) -> Self {
+        counters.publish_chip_reports(&engine);
         EngineRack {
             current_version: 1,
             current: engine,
@@ -1553,10 +1544,19 @@ impl EngineRack {
         self.confidence_override.or(base)
     }
 
-    /// The current serving engine's per-stage stats (chip reports plus
-    /// pipeline occupancy), published into counters after each flush.
-    pub(crate) fn stage_stats(&self) -> Vec<StageStats> {
-        self.current.stage_stats()
+    /// Makes `engine` the serving version and publishes its chip
+    /// reports (before the caller replies, so a resolved swap ticket
+    /// implies fresh stats); returns the engine it retired.
+    fn install(
+        &mut self,
+        engine: InferenceEngine,
+        version: u64,
+        counters: &Counters,
+    ) -> InferenceEngine {
+        counters.publish_chip_reports(&engine);
+        self.current_version = version;
+        counters.swaps.fetch_add(1, Ordering::Relaxed);
+        std::mem::replace(&mut self.current, engine)
     }
 
     /// Applies one control message at its FIFO position. `draining` is
@@ -1573,9 +1573,7 @@ impl EngineRack {
                 if draining {
                     self.aborted.push((version, *engine, reply));
                 } else {
-                    let retired = std::mem::replace(&mut self.current, *engine);
-                    self.current_version = version;
-                    counters.swaps.fetch_add(1, Ordering::Relaxed);
+                    let retired = self.install(*engine, version, counters);
                     let _ = reply.send(Ok(SwapOutcome::Applied { retired, version }));
                 }
             }
@@ -1595,11 +1593,9 @@ impl EngineRack {
                 if draining {
                     let _ = reply.send(Err(Error::ServerClosed));
                 } else if let Some((version, engine)) = self.candidate.take() {
-                    let retired = std::mem::replace(&mut self.current, engine);
-                    self.current_version = version;
+                    let retired = self.install(engine, version, counters);
                     self.confidence_override = None;
                     self.tallies = None;
-                    counters.swaps.fetch_add(1, Ordering::Relaxed);
                     let _ = reply.send(Ok(SwapOutcome::Applied { retired, version }));
                 } else {
                     let _ = reply.send(Err(Error::NoCanary));
@@ -1652,7 +1648,7 @@ impl EngineRack {
 /// makes a swap atomic with respect to version stamps. On shutdown,
 /// drain the queue to empty before exiting so no admitted ticket is lost.
 fn batcher(
-    engine: InferenceEngine,
+    mut rack: EngineRack,
     rx: mpsc::Receiver<Envelope>,
     policy: BatchPolicy,
     stop: Arc<AtomicBool>,
@@ -1662,7 +1658,6 @@ fn batcher(
     // The batcher is a resident service thread: claim one slot of the
     // shared worker budget so engines + grids + servers stay ≈ `--jobs`.
     let _slot = crate::pool::reserve_service_slot();
-    let mut rack = EngineRack::new(engine);
     let mut pending: Vec<Request> = Vec::with_capacity(policy.max_batch);
     let mut rows: Vec<Complex64> = Vec::new();
     loop {
@@ -1741,7 +1736,6 @@ fn batcher(
         let served = !pending.is_empty();
         if served {
             serve_flush(&mut rack, &policy, &mut pending, &mut rows, &counters);
-            counters.publish_stages(rack.stage_stats());
         }
         if let Some(c) = control {
             rack.apply(c, stop.load(Ordering::SeqCst), &counters);
@@ -2044,40 +2038,42 @@ mod tests {
     }
 
     #[test]
-    fn stats_surface_stage_reports_after_first_flush() {
-        let x = view(8, 100_041);
-        let server = Server::builder().max_batch(8).serve_engine(engine(100_040));
-        let client = server.client();
-        let tickets: Vec<Ticket> = (0..8)
-            .map(|i| client.submit(sample_row(&x, i)).expect("admits"))
-            .collect();
-        for t in tickets {
-            t.wait().expect("serves");
-        }
-        // The batcher publishes stage stats just after the flush that
-        // resolved the tickets; allow it a bounded beat to land.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let stats = loop {
-            let s = server.stats();
-            if !s.stage_stats.is_empty() || Instant::now() > deadline {
-                break s;
+    fn stats_carry_chip_reports_of_the_serving_version() {
+        fn check(reports: &[ChipReport], want: &[ChipReport]) {
+            assert_eq!(reports, want, "stats report the serving version's chips");
+            let optical: Vec<_> = reports.iter().filter(|r| r.optical).collect();
+            assert!(!optical.is_empty());
+            for r in &optical {
+                assert!(r.insertion_loss_db > 0.0);
+                assert!(r.latency_ps > 0.0);
+                assert!(r.mesh_depth > 0);
             }
-            thread::yield_now();
-        };
-        assert!(
-            !stats.stage_stats.is_empty(),
-            "per-stage chip reports publish after the first flush"
-        );
-        let optical: Vec<_> = stats
-            .stage_stats
-            .iter()
-            .filter(|s| s.chip.optical)
-            .collect();
-        assert!(!optical.is_empty());
-        for s in &optical {
-            assert!(s.chip.insertion_loss_db > 0.0);
-            assert!(s.chip.latency_ps > 0.0);
-            assert!(s.chip.mesh_depth > 0);
         }
+
+        let first = engine(100_040);
+        let want = first.deployed().chip_reports();
+        let server = Server::builder().max_batch(8).serve_engine(first);
+        // Published at launch: no submit, no flush needed.
+        check(&server.stats().chip_reports, &want);
+
+        let mut rng = StdRng::seed_from_u64(100_041);
+        let cfg = FcnnConfig {
+            input: 6,
+            hidden: 9,
+            classes: 3,
+        };
+        let net = build_fcnn(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
+        let wider = InferenceEngine::from_network(
+            &net,
+            DeployedDetection::Differential,
+            MeshStyle::Clements,
+        )
+        .expect("FCNN deploys");
+        let want_wider = wider.deployed().chip_reports();
+        assert_ne!(want_wider, want, "a wider hidden layer changes the chips");
+        let swapped = server.swap(wider).expect("swap admits").wait();
+        assert!(matches!(swapped, Ok(SwapOutcome::Applied { .. })));
+        check(&server.stats().chip_reports, &want_wider);
+        server.shutdown();
     }
 }

@@ -32,17 +32,10 @@ pub const ORDER_SENSITIVE_PATHS: &[&str] = &[
 /// every metric key the bench references must exist in its baseline,
 /// otherwise the perf gate erodes silently (a missing key used to fail
 /// loudly only at bench runtime, on a runner with matching metadata).
-/// A bench may appear in several pairs (`bench_smoke` gates both the
-/// kernel and the stage-pipeline baselines); its keys are then checked
+/// A bench may appear in several pairs; its keys are then checked
 /// against the union of the paired baselines.
-pub const BENCH_BASELINE_PAIRS: &[(&str, &str)] = &[
-    ("crates/bench/benches/bench_smoke.rs", "BENCH_kernels.json"),
-    ("crates/bench/benches/bench_smoke.rs", "BENCH_pipeline.json"),
-    (
-        "crates/bench/benches/stage_pipeline.rs",
-        "BENCH_pipeline.json",
-    ),
-];
+pub const BENCH_BASELINE_PAIRS: &[(&str, &str)] =
+    &[("crates/bench/benches/bench_smoke.rs", "BENCH_kernels.json")];
 
 /// Workspace-local stand-ins for crates.io dependencies. Panicking is
 /// part of the API they emulate (`proptest` assertion failures,
@@ -652,18 +645,18 @@ fn measure() -> Vec<(&'static str, f64)> {
     fn bench_baseline_unions_keys_across_paired_baselines() {
         let bench = "\
 fn measure() -> Vec<(&'static str, f64)> {
-    vec![(\"kernel_metric_ns\", 1.0), (\"pipeline_metric_us\", 2.0)]
+    vec![(\"kernel_metric_ns\", 1.0), (\"serving_metric_us\", 2.0)]
 }
 ";
         let f = file("crates/bench/benches/bench_smoke.rs", bench);
         let kernels = "{\n  \"kernel_metric_ns\": 1.0\n}\n";
-        let pipeline = "{\n  \"pipeline_metric_us\": 2.0\n}\n";
+        let serving = "{\n  \"serving_metric_us\": 2.0\n}\n";
         // Each key lives in a different baseline: the union covers both.
         let hits = bench_baseline(
             &f,
             &[
                 ("BENCH_kernels.json", Some(kernels)),
-                ("BENCH_pipeline.json", Some(pipeline)),
+                ("BENCH_serving.json", Some(serving)),
             ],
         );
         assert!(hits.is_empty(), "{hits:?}");
@@ -673,7 +666,7 @@ fn measure() -> Vec<(&'static str, f64)> {
             &f,
             &[
                 ("BENCH_kernels.json", Some(kernels)),
-                ("BENCH_pipeline.json", None),
+                ("BENCH_serving.json", None),
             ],
         );
         assert_eq!(hits.len(), 2, "{hits:?}");
