@@ -21,7 +21,13 @@
 //! * `staged_walk_sequential_us_per_sample` — one-worker engine time per
 //!   sample of a training-scale (halved) LeNet-5 body, seven deployed
 //!   stages, over 256 16×16 views: the conv lowering's im2col gathers and
-//!   compiled meshes end to end.
+//!   the stage transfers end to end.
+//!
+//! Printed only (not persisted): per-stage attribution of the serving
+//! tier — for every LeNet and FCNN mesh shape at its im2col positions,
+//! ns/sample of the MZI walk ([`CompiledLayer::forward_batch`], the
+//! golden reference) vs the realised transfer
+//! ([`TransferLayer::forward_batch`], what deployed stages serve).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oplix_linalg::CMatrix;
@@ -34,10 +40,11 @@ use oplix_nn::optim::Sgd;
 use oplix_nn::tensor::{transpose2_materialisations, Tensor};
 use oplix_nn::trainer::{train_epoch, CDataset};
 use oplix_photonics::clements::decompose_clements;
-use oplix_photonics::compiled::CompiledMesh;
+use oplix_photonics::compiled::{CompiledLayer, CompiledMesh};
 use oplix_photonics::decoder::DecoderKind;
 use oplix_photonics::mesh::MziMesh;
-use oplix_photonics::svd_map::MeshStyle;
+use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
+use oplix_photonics::transfer::TransferLayer;
 use oplixnet::engine::InferenceEngine;
 use oplixnet::pool;
 use oplixnet::zoo::{build_lenet, LenetConfig, ModelVariant};
@@ -170,6 +177,9 @@ fn report_kernel_baseline(_c: &mut Criterion) {
         t_tn * 1e3,
     );
 
+    // --- Per-stage attribution: MZI walk vs realised transfer. ---
+    report_stage_attribution();
+
     // --- Staged walk: halved LeNet-5 (seven chips), one worker. ---
     const WALK_SAMPLES: usize = 256;
     let mut rng = StdRng::seed_from_u64(23);
@@ -266,6 +276,64 @@ fn report_kernel_baseline(_c: &mut Criterion) {
         Ok(()) => println!("baseline written to {path}"),
         Err(e) => println!("could not write {path}: {e}"),
     }
+}
+
+/// `(outputs, inputs, im2col positions)` of every optical stage the
+/// halved LeNet-5 (16×16 inputs) and the paper FCNN deploy.
+const STAGE_SHAPES: [(&str, usize, usize, usize); 7] = [
+    ("lenet conv1", 3, 26, 256),
+    ("lenet conv2", 6, 76, 64),
+    ("lenet fc1", 24, 97, 1),
+    ("lenet fc2", 16, 25, 1),
+    ("lenet fc3", 20, 17, 1),
+    ("fcnn fc1", 32, 65, 1),
+    ("fcnn fc2", 20, 33, 1),
+];
+
+/// Prints, per deployed stage shape, ns/sample of the MZI walk and of
+/// the transfer that serves it, over one 64-sample serving window.
+fn report_stage_attribution() {
+    const WINDOW: usize = 64;
+    println!("stage attribution (64-sample windows, ns/sample):");
+    println!("  stage          shape   positions        mesh    transfer   speedup");
+    let (mut mesh_total, mut transfer_total) = (0.0, 0.0);
+    for (i, &(name, m, n, positions)) in STAGE_SHAPES.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(40 + i as u64);
+        let w = CMatrix::from_fn(m, n, |_, _| {
+            Complex64::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5))
+        });
+        let layer = PhotonicLayer::from_matrix(&w, MeshStyle::Clements);
+        let compiled = CompiledLayer::compile(&layer);
+        let transfer = TransferLayer::from_compiled(&compiled);
+        let rows = WINDOW * positions;
+        let input = fields(rows * n, 50 + i as u64);
+        let (mut io, mut tmp) = (Vec::new(), Vec::new());
+        let reps = (400_000 / (rows * n)).clamp(3, 200);
+        let mesh = timed(reps, || {
+            io.clear();
+            io.extend_from_slice(&input);
+            compiled.forward_batch(&mut io, &mut tmp, rows);
+        }) * 1e9
+            / WINDOW as f64;
+        let fast = timed(reps, || {
+            io.clear();
+            io.extend_from_slice(&input);
+            transfer.forward_batch(&mut io, &mut tmp, rows);
+        }) * 1e9
+            / WINDOW as f64;
+        mesh_total += mesh;
+        transfer_total += fast;
+        println!(
+            "  {name:<12} {:>7} {positions:>11} {mesh:>11.0} {fast:>11.0} {:>8.1}x",
+            format!("{m}x{n}"),
+            mesh / fast,
+        );
+    }
+    println!(
+        "  {:<32} {mesh_total:>11.0} {transfer_total:>11.0} {:>8.1}x",
+        "total",
+        mesh_total / transfer_total,
+    );
 }
 
 criterion_group!(

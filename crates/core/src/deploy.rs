@@ -22,10 +22,11 @@ use oplix_nn::functional::im2col_indices;
 use oplix_nn::head::{LinearDecoderHead, UnitaryDecoderHead};
 use oplix_nn::layers::{CAvgPool2d, CConv2d, CDense, CFlatten, CRelu};
 use oplix_nn::network::Network;
-use oplix_photonics::compiled::{gather_into, CompiledLayer, GatherSource};
+use oplix_photonics::compiled::GatherSource;
 use oplix_photonics::count::DeviceCount;
 use oplix_photonics::loss_model::OpticalLossModel;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
+use oplix_photonics::transfer::TransferLayer;
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -34,13 +35,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// im2col windows expanding to at least this many gathered fields
-/// (`samples × positions × patch_len`) fan the gather out across the
-/// persistent executor instead of running it scalar on the calling
-/// (batcher) thread. Below the threshold the executor hand-off costs more
-/// than the gather itself; above it, big CNN windows stop serialising on
-/// one core. Both paths expand through [`gather_into`], so the output is
-/// bitwise identical either way.
-const PARALLEL_GATHER_MIN_FIELDS: usize = 16 * 1024;
+/// (`samples × positions × patch_len`) fan the conv stage — gather and
+/// transfer product — out across the persistent executor in contiguous
+/// sample shards instead of running it on the calling (batcher) thread.
+/// Below the threshold the executor hand-off costs more than the stage
+/// itself. Rows are independent through [`TransferLayer::gathered_into`],
+/// so the output is bitwise identical either way.
+const PARALLEL_CONV_MIN_FIELDS: usize = 16 * 1024;
 
 /// Reusable field buffers for [`DeployedFcnn::forward_into`]: after the
 /// first call nothing reallocates, so a serving loop is allocation-free
@@ -55,8 +56,8 @@ pub struct ForwardBuffers {
 /// Reusable field buffers for [`DeployedFcnn::forward_window_into`], the
 /// windowed batch path: ping-pong buffers sized `window × stage width`
 /// plus a gather scratch for conv stages. After warm-up none reallocates,
-/// so a serving worker pushes whole sample windows through compiled
-/// kernels allocation-free.
+/// so a serving worker pushes whole sample windows through the stage
+/// transfers allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct WindowBuffers {
     cur: Vec<Complex64>,
@@ -96,15 +97,18 @@ pub use oplix_photonics::decoder::Detection as DeployedDetection;
 /// decoder) and leave it (electro-optic split ReLU between body stages).
 ///
 /// The stage carries both the *hardware description* (`layer`, with
-/// mutable phases for the noise models) and the *compiled kernel*
-/// (`compiled`, the precomputed-coefficient form every forward pass runs
-/// through). Whenever phases are mutated the kernel is recompiled; the two
-/// are bitwise interchangeable by the [`CompiledLayer`] contract.
+/// mutable phases for the noise models) and the *realised transfer*
+/// (`transfer`, the `[m, n]` matrix those phases implement, which every
+/// forward pass runs through). Whenever phases are mutated the transfer
+/// is rebuilt; it agrees with the MZI walk of `layer` within the
+/// [`TransferLayer`] tolerance contract.
 #[derive(Clone, Debug)]
 pub(crate) struct OpticalStage {
+    /// The hardware: meshes, phases and attenuators. Its MZI walk is the
+    /// golden reference the transfer is pinned against.
     pub(crate) layer: PhotonicLayer,
-    /// The compiled form of `layer`; the serving hot path.
-    compiled: CompiledLayer,
+    /// The matrix `layer`'s current phases realise; the serving hot path.
+    transfer: TransferLayer,
     /// Zero-pad the incoming fields up to the stage fan-in (ancilla modes
     /// of the unitary decoder).
     pad_input: bool,
@@ -121,9 +125,12 @@ pub(crate) struct OpticalStage {
 /// keeps the photonic footprint at one kernel-sized mesh per layer.
 #[derive(Clone, Debug)]
 pub(crate) struct ConvStage {
+    /// The hardware: meshes, phases and attenuators. Its MZI walk is the
+    /// golden reference the transfer is pinned against.
     pub(crate) layer: PhotonicLayer,
-    /// The compiled form of `layer`; the serving hot path.
-    compiled: CompiledLayer,
+    /// The `[out_ch, patch_len + 1]` matrix `layer`'s current phases
+    /// realise; every im2col row of every position is served through it.
+    transfer: TransferLayer,
     /// The im2col gather: `positions × (patch_len + 1)` sources.
     plan: Arc<Vec<GatherSource>>,
     /// Convolution output positions `H'·W'` (mesh rows per sample).
@@ -234,48 +241,44 @@ impl DeployedStage {
                     dst[padded] = Complex64::ONE;
                 }
                 std::mem::swap(cur, nxt);
-                st.compiled.forward_batch(cur, nxt, samples);
+                st.transfer.forward_batch(cur, nxt, samples);
                 (st.layer.output_dim(), st.relu_after)
             }
             DeployedStage::Conv(st) => {
-                // im2col: gather every output position's patch (bias
-                // on the reference mode) and push all patch rows of
-                // the window through one compiled mesh batch. Windows
-                // whose gather is large enough to amortise a fan-out
-                // expand on the persistent executor instead of the
-                // calling thread (bitwise identical — both paths run
-                // `gather_into` per sample).
+                // im2col: gather every output position's patch (bias on
+                // the reference mode) and serve the patch rows through the
+                // stage transfer, block by block. Windows large enough to
+                // amortise a fan-out run in contiguous sample shards on
+                // the persistent executor (bitwise identical — every row
+                // is served independently).
                 let plan = &st.plan[..];
-                let fields = samples * plan.len();
-                if fields >= PARALLEL_GATHER_MIN_FIELDS && crate::pool::jobs() > 1 {
-                    let src = &cur[..samples * width];
-                    nxt.clear();
-                    nxt.resize(fields, Complex64::ZERO);
+                let src = &cur[..samples * width];
+                let row_fields = st.positions * st.out_ch;
+                nxt.clear();
+                nxt.resize(samples * row_fields, Complex64::ZERO);
+                if samples * plan.len() >= PARALLEL_CONV_MIN_FIELDS && crate::pool::jobs() > 1 {
                     let shards = crate::pool::jobs().min(samples);
                     let chunk = samples.div_ceil(shards);
+                    let transfer = &st.transfer;
                     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = nxt
-                        .chunks_mut(chunk * plan.len())
+                        .chunks_mut(chunk * row_fields)
                         .zip(src.chunks(chunk * width))
                         .map(|(dst, win)| {
                             Box::new(move || {
-                                for (d, s) in dst.chunks_mut(plan.len()).zip(win.chunks(width)) {
-                                    gather_into(plan, s, d);
-                                }
+                                transfer.gathered_into(win, width, plan, dst, &mut Vec::new());
                             }) as Box<dyn FnOnce() + Send + '_>
                         })
                         .collect();
                     crate::pool::run_scoped(tasks);
-                    st.compiled.forward_batch(nxt, aux, samples * st.positions);
                 } else {
-                    st.compiled
-                        .forward_gathered(&cur[..samples * width], width, plan, nxt, aux);
+                    st.transfer.gathered_into(src, width, plan, nxt, aux);
                 }
-                // Mesh rows come back position-major `[P][O]`; the
+                // Transfer rows come back position-major `[P][O]`; the
                 // software conv layout is channel-major `[O, H'·W']`.
                 cur.clear();
                 cur.resize(samples * st.out_features, Complex64::ZERO);
                 for s in 0..samples {
-                    let rows = &nxt[s * st.positions * st.out_ch..][..st.positions * st.out_ch];
+                    let rows = &nxt[s * row_fields..][..row_fields];
                     let dst = &mut cur[s * st.out_features..][..st.out_features];
                     for p in 0..st.positions {
                         for o in 0..st.out_ch {
@@ -612,8 +615,8 @@ impl DeployedFcnn {
     }
 
     /// Field-level inference of a *window* of rows `start..end` of a
-    /// `[N, D]` complex view through the compiled kernels, into
-    /// caller-owned buffers: one [`CompiledLayer::forward_batch`] call per
+    /// `[N, D]` complex view through the stage transfers, into
+    /// caller-owned buffers: one [`TransferLayer::forward_batch`] call per
     /// optical stage covers the whole window, instead of re-walking the
     /// stage list per sample. `logits` is cleared and filled row-major
     /// (`(end − start) × logit_dim` detected scores).
@@ -736,7 +739,7 @@ impl DeployedFcnn {
     /// The staged window walk every entry point (batched *and*
     /// per-sample) shares: `buf.cur` holds `samples × input_dim` staged
     /// fields on entry; detected scores are appended to `logits`
-    /// row-major. Each optical stage runs one compiled batch kernel
+    /// row-major. Each optical stage runs one transfer batch
     /// across the whole window — for conv stages, across every im2col
     /// patch row of every sample in the window at once.
     fn forward_staged(&self, buf: &mut WindowBuffers, samples: usize, logits: &mut Vec<f64>) {
@@ -848,25 +851,25 @@ impl DeployedFcnn {
     }
 
     /// Injects Gaussian phase noise into every mesh (thermal crosstalk /
-    /// fabrication imprecision study) and recompiles the affected kernels
-    /// so the serving path sees the perturbed phases. Electronic stages
-    /// (pooling) carry no phases and are untouched.
+    /// fabrication imprecision study) and rebuilds each affected stage's
+    /// transfer from the perturbed phases, so the serving path sees them.
+    /// Electronic stages (pooling) carry no phases and are untouched.
     pub fn inject_phase_noise<R: Rng>(&mut self, sigma: f64, rng: &mut R) {
         for stage in &mut self.stages {
-            let (layer, compiled) = match stage {
-                DeployedStage::Mesh(st) => (&mut st.layer, &mut st.compiled),
-                DeployedStage::Conv(st) => (&mut st.layer, &mut st.compiled),
+            let (layer, transfer) = match stage {
+                DeployedStage::Mesh(st) => (&mut st.layer, &mut st.transfer),
+                DeployedStage::Conv(st) => (&mut st.layer, &mut st.transfer),
                 DeployedStage::Pool(_) => continue,
             };
             let (v, u) = layer.meshes_mut();
             *v = v.with_phase_noise(sigma, rng);
             *u = u.with_phase_noise(sigma, rng);
-            *compiled = CompiledLayer::compile(layer);
+            *transfer = TransferLayer::compile(layer);
         }
     }
 
     /// Applies one random-walk drift step to every mesh phase and
-    /// recompiles the affected kernels. Unlike
+    /// rebuilds each affected stage's transfer. Unlike
     /// [`DeployedFcnn::inject_phase_noise`] inside a scoped session, drift
     /// *accumulates*: each call moves the deployment further from its
     /// calibrated point, and the only way back is re-deploying from clean
@@ -874,15 +877,15 @@ impl DeployedFcnn {
     /// no phases and are untouched.
     pub fn drift_step(&mut self, drift: &mut oplix_photonics::PhaseDrift) {
         for stage in &mut self.stages {
-            let (layer, compiled) = match stage {
-                DeployedStage::Mesh(st) => (&mut st.layer, &mut st.compiled),
-                DeployedStage::Conv(st) => (&mut st.layer, &mut st.compiled),
+            let (layer, transfer) = match stage {
+                DeployedStage::Mesh(st) => (&mut st.layer, &mut st.transfer),
+                DeployedStage::Conv(st) => (&mut st.layer, &mut st.transfer),
                 DeployedStage::Pool(_) => continue,
             };
             let (v, u) = layer.meshes_mut();
             drift.step_mesh(v);
             drift.step_mesh(u);
-            *compiled = CompiledLayer::compile(layer);
+            *transfer = TransferLayer::compile(layer);
         }
     }
 
@@ -1047,32 +1050,33 @@ impl DecompositionKey {
 }
 
 /// What the deployment cache stores per decomposition: the hardware
-/// description (meshes + attenuators) *and* its compiled kernel, so a
-/// cache hit skips both the SVD decomposition and the coefficient bake.
+/// description (meshes + attenuators) *and* the transfer its phases
+/// realise, so a cache hit skips the SVD decomposition, the coefficient
+/// bake and the identity-basis build.
 #[derive(Clone, Debug)]
 struct DeployedKernels {
     layer: PhotonicLayer,
-    compiled: CompiledLayer,
+    transfer: TransferLayer,
 }
 
 impl DeployedKernels {
     fn decompose(w: &CMatrix, style: MeshStyle) -> Self {
         let layer = PhotonicLayer::from_matrix(w, style);
-        let compiled = CompiledLayer::compile(&layer);
-        DeployedKernels { layer, compiled }
+        let transfer = TransferLayer::compile(&layer);
+        DeployedKernels { layer, transfer }
     }
 
     fn into_stage(self, pad_input: bool, relu_after: bool) -> OpticalStage {
         OpticalStage {
             layer: self.layer,
-            compiled: self.compiled,
+            transfer: self.transfer,
             pad_input,
             relu_after,
         }
     }
 
     /// Approximate resident size: meshes (phases dominate) plus the
-    /// compiled coefficient arrays.
+    /// realised transfer matrix.
     fn approx_bytes(&self) -> usize {
         let mesh_bytes = |m: &oplix_photonics::mesh::MziMesh| {
             m.mzi_count() * std::mem::size_of::<oplix_photonics::devices::Mzi>()
@@ -1081,7 +1085,7 @@ impl DeployedKernels {
         mesh_bytes(self.layer.v_mesh())
             + mesh_bytes(self.layer.u_mesh())
             + self.layer.attenuators().len() * std::mem::size_of::<f64>()
-            + self.compiled.approx_bytes()
+            + self.transfer.approx_bytes()
             + std::mem::size_of::<Self>()
     }
 }
@@ -1098,14 +1102,14 @@ pub struct DeployCacheStats {
     /// Entries evicted by the LRU policy since process start (survives
     /// [`clear_deploy_cache`]).
     pub evictions: u64,
-    /// Approximate bytes currently resident (keys + meshes + compiled
-    /// kernels).
+    /// Approximate bytes currently resident (keys + meshes + realised
+    /// transfers).
     pub resident_bytes: usize,
 }
 
 /// Memory budget of the deployment cache. Least-recently-used entries are
 /// evicted once the *approximate* resident footprint (keys, meshes and
-/// compiled kernels) exceeds this, so unbounded architecture sweeps see a
+/// realised transfers) exceeds this, so unbounded architecture sweeps see a
 /// bounded cache instead of the old hard insertion cutoff.
 const DEPLOY_CACHE_MAX_BYTES: usize = 64 << 20;
 
@@ -1210,7 +1214,7 @@ impl LruDeployCache {
 
 static DEPLOY_CACHE: OnceLock<Mutex<LruDeployCache>> = OnceLock::new();
 /// Admission doorkeeper: 8-byte fingerprints of keys decomposed exactly
-/// once. A full (weights + meshes + compiled kernel) entry is only
+/// once. A full (weights + meshes + transfer) entry is only
 /// inserted when the same key is decomposed a *second* time, so one-shot
 /// deployments — an experiment grid where every trained arm has unique
 /// weights — retain 8 bytes per architecture instead of a full entry. A
@@ -1278,19 +1282,19 @@ pub fn clear_deploy_cache() {
     deploy_seen().lock().expect("deploy doorkeeper").clear();
 }
 
-/// The memoised front door to SVD decomposition + kernel compilation:
+/// The memoised front door to SVD decomposition + transfer realisation:
 /// repeated deployments of the same weights (grid sweeps, repeated
-/// `DeployStage` runs on one trained body) skip both the decomposition
-/// and the coefficient bake and clone the cached kernels instead —
-/// cloning phase/coefficient arrays is orders of magnitude cheaper than
-/// decomposing. Admission is second-sight (see [`DEPLOY_SEEN`]): the
+/// `DeployStage` runs on one trained body) skip the decomposition, the
+/// coefficient bake and the identity-basis build and clone the cached
+/// kernels instead — cloning phase and transfer arrays is orders of
+/// magnitude cheaper than decomposing. Admission is second-sight (see [`DEPLOY_SEEN`]): the
 /// first decomposition of a key records only a fingerprint, the second
 /// inserts the full entry, the third and later are hits. Residency is
 /// bounded by [`DEPLOY_CACHE_MAX_BYTES`] with LRU eviction.
 fn decompose_cached(w: &CMatrix, style: MeshStyle, kind: KeyKind) -> DeployedKernels {
     let key = DecompositionKey::new(w, style, kind);
     // Values are `Arc`ed so the critical section is a refcount bump plus
-    // a recency touch; the (cheap-but-not-free) coefficient-array clone
+    // a recency touch; the (cheap-but-not-free) phase/transfer clone
     // happens outside the lock and concurrent grid-arm deployments never
     // serialise behind it.
     let hit = deploy_cache().lock().expect("deploy cache").get(&key);
@@ -1379,7 +1383,7 @@ fn deploy_conv(
     }
     Ok(ConvStage {
         layer: kernels.layer,
-        compiled: kernels.compiled,
+        transfer: kernels.transfer,
         plan: Arc::new(plan),
         positions,
         out_ch,
@@ -1614,8 +1618,8 @@ mod tests {
             0.0
         );
         // The cached kernels must be *equal* to a fresh decomposition:
-        // same implemented matrix, bitwise-identical forward fields,
-        // interpreted or compiled.
+        // same implemented matrix, bitwise-identical interpreted forward
+        // fields, and a bitwise-identical realised transfer.
         assert_eq!(
             fresh.layer.matrix().max_abs_diff(&cached.layer.matrix()),
             0.0
@@ -1624,10 +1628,14 @@ mod tests {
             .map(|j| Complex64::new(0.3 * j as f64, -0.1))
             .collect();
         assert_eq!(fresh.layer.forward(&x), cached.layer.forward(&x));
-        let mut compiled_out = x.clone();
-        let mut tmp = Vec::new();
-        cached.compiled.forward_into(&mut compiled_out, &mut tmp);
-        assert_eq!(compiled_out, cached.layer.forward(&x));
+        let bits = |t: &TransferLayer| -> Vec<(u64, u64)> {
+            let a = t.matrix();
+            (0..a.rows())
+                .flat_map(|i| (0..a.cols()).map(move |j| (i, j)))
+                .map(|ij| (a[ij].re.to_bits(), a[ij].im.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&cached.transfer), bits(&fresh.transfer));
     }
 
     #[test]
@@ -1968,6 +1976,169 @@ mod tests {
             Tensor::random_uniform(&[5, 1, 4, 4], 1.0, &mut rng),
         );
         assert_eq!(first.classify(&view), third.classify(&view));
+    }
+
+    /// Golden reference for the served logits: every optical stage walks
+    /// the MZI meshes of its `layer` (the compiled walk, bitwise the
+    /// interpreted one), one sample and one im2col row at a time, with
+    /// padding, gather, pooling, ReLU and detection spelled out
+    /// independently of `DeployedStage::apply`.
+    fn mesh_walk_logits(deployed: &DeployedFcnn, view: &CTensor) -> Vec<Vec<f64>> {
+        use oplix_photonics::compiled::{gather_into, CompiledLayer};
+        let walks: Vec<Option<CompiledLayer>> = deployed
+            .stages
+            .iter()
+            .map(|stage| stage.optical().map(CompiledLayer::compile))
+            .collect();
+        let n = view.shape()[0];
+        let d: usize = view.shape()[1..].iter().product();
+        let (re, im) = (view.re.as_slice(), view.im.as_slice());
+        let mut tmp = Vec::new();
+        (0..n)
+            .map(|i| {
+                let mut cur: Vec<Complex64> = (i * d..(i + 1) * d)
+                    .map(|k| Complex64::new(re[k] as f64, im[k] as f64))
+                    .collect();
+                for (stage, walk) in deployed.stages.iter().zip(&walks) {
+                    let relu_after = match (stage, walk) {
+                        (DeployedStage::Mesh(st), Some(walk)) => {
+                            if st.pad_input {
+                                cur.resize(cur.len().max(walk.input_dim() - 1), Complex64::ZERO);
+                            }
+                            cur.push(Complex64::ONE);
+                            walk.forward_into(&mut cur, &mut tmp);
+                            st.relu_after
+                        }
+                        (DeployedStage::Conv(st), Some(walk)) => {
+                            let mut out = vec![Complex64::ZERO; st.out_features];
+                            let fan_in = walk.input_dim();
+                            for (p, taps) in st.plan.chunks_exact(fan_in).enumerate() {
+                                let mut row = vec![Complex64::ZERO; fan_in];
+                                gather_into(taps, &cur, &mut row);
+                                walk.forward_into(&mut row, &mut tmp);
+                                for (o, z) in row.iter().enumerate() {
+                                    out[o * st.positions + p] = *z;
+                                }
+                            }
+                            cur = out;
+                            st.relu_after
+                        }
+                        (DeployedStage::Pool(st), None) => {
+                            cur = st
+                                .taps
+                                .chunks_exact(st.k2)
+                                .map(|taps| {
+                                    let sum = taps
+                                        .iter()
+                                        .fold(Complex64::ZERO, |acc, &t| acc + cur[t as usize]);
+                                    sum.scale(1.0 / st.k2 as f64)
+                                })
+                                .collect();
+                            st.relu_after
+                        }
+                        _ => unreachable!("optical stages carry meshes, pooling does not"),
+                    };
+                    if relu_after {
+                        for z in cur.iter_mut() {
+                            *z = Complex64::new(z.re.max(0.0), z.im.max(0.0));
+                        }
+                    }
+                }
+                let mut logits = Vec::new();
+                detect(deployed.detection, &cur, &mut logits);
+                logits
+            })
+            .collect()
+    }
+
+    /// Served logits agree with the mesh-walk reference per sample within
+    /// `‖Δ‖₂ ≤ 1e-12·max(‖logits‖₂, ‖x‖₂)`, and top-1 agrees exactly.
+    fn assert_tracks_mesh_walk(
+        what: &str,
+        served: &[Vec<f64>],
+        deployed: &DeployedFcnn,
+        view: &CTensor,
+    ) {
+        let reference = mesh_walk_logits(deployed, view);
+        assert_eq!(served.len(), reference.len(), "{what}");
+        let d: usize = view.shape()[1..].iter().product();
+        let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
+        for (i, (got, want)) in served.iter().zip(&reference).enumerate() {
+            let x = norm(
+                &mut view.re.as_slice()[i * d..(i + 1) * d]
+                    .iter()
+                    .chain(&view.im.as_slice()[i * d..(i + 1) * d])
+                    .map(|&v| v as f64),
+            );
+            let dy = norm(&mut got.iter().zip(want).map(|(a, b)| a - b));
+            let bound = 1e-12 * norm(&mut want.iter().copied()).max(x);
+            assert!(dy <= bound, "{what}: sample {i} |dy| {dy:e} > {bound:e}");
+            assert_eq!(argmax(got), argmax(want), "{what}: sample {i} top-1");
+        }
+    }
+
+    #[test]
+    fn served_logits_track_the_mesh_walk_through_noise_and_drift() {
+        use crate::engine::InferenceEngine;
+        use crate::zoo::{build_lenet, LenetConfig};
+        let cfg = LenetConfig::training_scale(2, 16, 10).halved();
+        let net = build_lenet(
+            &cfg,
+            ModelVariant::Split(DecoderKind::Merge),
+            &mut StdRng::seed_from_u64(96_001),
+        );
+        let mut engine = InferenceEngine::from_network_shaped(
+            &net,
+            Some((cfg.in_ch, cfg.input_h, cfg.input_w)),
+            DeployedDetection::Differential,
+            MeshStyle::Clements,
+        )
+        .expect("LeNet deploys");
+        assert!(engine
+            .deployed()
+            .stages
+            .iter()
+            .any(|s| matches!(s, DeployedStage::Pool(_))));
+        let mut rng = StdRng::seed_from_u64(96_002);
+        let view = CTensor::new(
+            Tensor::random_uniform(&[256, cfg.in_ch, cfg.input_h, cfg.input_w], 1.0, &mut rng),
+            Tensor::random_uniform(&[256, cfg.in_ch, cfg.input_h, cfg.input_w], 1.0, &mut rng),
+        );
+        let clean = engine.predict_batch(&view).expect("clean serve");
+        assert_tracks_mesh_walk("clean", &clean, engine.deployed(), &view);
+
+        // A noise session rebuilds every transfer from the perturbed
+        // phases; dropping it restores the clean stages bitwise.
+        {
+            let mut session = engine.noise_session(0.05, &mut rng);
+            let noisy = session.predict_batch(&view).expect("noisy serve");
+            assert_tracks_mesh_walk("noise session", &noisy, session.deployed(), &view);
+            assert_ne!(noisy, clean, "noise must reach the served transfer");
+        }
+        let restored = engine.predict_batch(&view).expect("restored serve");
+        assert_eq!(restored, clean, "session drop restores the clean transfers");
+        assert_tracks_mesh_walk("after session drop", &restored, engine.deployed(), &view);
+
+        // Injected noise and accumulated drift on the deployment itself.
+        let mut noisy = engine.deployed().clone();
+        noisy.inject_phase_noise(0.05, &mut rng);
+        let mut buf = WindowBuffers::default();
+        let mut flat = Vec::new();
+        noisy
+            .forward_window_into(&view, 0, 256, &mut buf, &mut flat)
+            .expect("noisy window");
+        let served: Vec<Vec<f64>> = flat
+            .chunks_exact(noisy.logit_dim())
+            .map(<[f64]>::to_vec)
+            .collect();
+        assert_tracks_mesh_walk("inject_phase_noise", &served, &noisy, &view);
+
+        let mut drift = oplix_photonics::PhaseDrift::new(0.02, 96_003);
+        engine.drift_step(&mut drift);
+        engine.drift_step(&mut drift);
+        let drifted = engine.predict_batch(&view).expect("drifted serve");
+        assert_ne!(drifted, clean, "drift must reach the served transfer");
+        assert_tracks_mesh_walk("drift_step", &drifted, engine.deployed(), &view);
     }
 
     #[test]

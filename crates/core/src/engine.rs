@@ -13,10 +13,12 @@
 //!   [`crate::pool`] budget, each worker owning its own preallocated
 //!   buffers; results are bitwise identical to the sequential path because
 //!   every sample's field walk is independent and row spans are fixed;
-//! * **compiled kernel windows** — each worker pushes its row span through
+//! * **transfer windows** — each worker pushes its row span through
 //!   [`DeployedFcnn::forward_window_into`](crate::deploy::DeployedFcnn::forward_window_into)
-//!   in bounded windows: one precompiled coefficient kernel per optical
-//!   stage covers the whole window (no per-sample trigonometry), bitwise
+//!   in bounded windows: each optical stage serves the whole window
+//!   through the matrix its phases realise
+//!   ([`TransferLayer`](oplix_photonics::transfer::TransferLayer); the MZI
+//!   walk stays the golden reference it is pinned against), bitwise
 //!   identical to the per-sample walk;
 //! * **streaming evaluation** — [`InferenceEngine::accuracy_streaming`]
 //!   walks a labelled view in bounded chunks instead of materialising one
@@ -229,7 +231,7 @@ struct WorkerSlot {
 /// Where a batched query's rows come from: a `[N, D]` tensor view (the
 /// dataset paths) or a contiguous row-major complex slice (the serving
 /// front end's borrowed batch). Both stage into the identical windowed
-/// compiled-kernel walk, so the two sources are bitwise interchangeable.
+/// transfer walk, so the two sources are bitwise interchangeable.
 #[derive(Clone, Copy)]
 enum RowSource<'a> {
     /// A `[N, D]` complex dataset view.
@@ -243,15 +245,15 @@ enum RowSource<'a> {
     },
 }
 
-/// How many rows one compiled-kernel window covers: big enough to
+/// How many rows one serving window covers: big enough to
 /// amortise the per-stage batch dispatch, small enough that a worker's
 /// window buffers stay a few tens of kilobytes.
 const SERVE_WINDOW: usize = 64;
 
 impl WorkerSlot {
     /// Runs rows `start..end` of a view through the deployed hardware in
-    /// compiled-kernel windows ([`DeployedFcnn::forward_window_into`]),
-    /// emitting one `T` per row. Each window applies one compiled kernel
+    /// serving windows ([`DeployedFcnn::forward_window_into`]),
+    /// emitting one `T` per row. Each window applies one transfer batch
     /// per optical stage across all its samples instead of re-walking the
     /// stage list per sample; per-sample results are bitwise identical to
     /// the sequential walk. Row indices in errors are absolute, and the
@@ -437,7 +439,7 @@ impl InferenceEngine {
 
     /// Detected logits of one already-assigned sample.
     ///
-    /// Routed through the same compiled windowed kernel
+    /// Routed through the same windowed transfer walk
     /// ([`DeployedFcnn::forward_rows_into`], a one-sample window) as the
     /// batched paths, so per-sample and batched serving share one kernel
     /// and stay bitwise interchangeable.
@@ -662,7 +664,7 @@ impl InferenceEngine {
     }
 
     /// Applies one accumulating phase-drift step to the deployed hardware
-    /// and recompiles the affected kernels. The counterpart to
+    /// and rebuilds the affected stage transfers. The counterpart to
     /// [`InferenceEngine::noise_session`] for *slow* error: each call
     /// moves every mesh phase one Gaussian random-walk increment further
     /// from its calibrated point, with no restore — recalibration is a

@@ -1,7 +1,7 @@
 //! Concurrent serving front end: request queue → micro-batcher → sharded
 //! engine.
 //!
-//! The compiled kernel layer made per-window inference cheap, but a bare
+//! The windowed transfer walk made per-window inference cheap, but a bare
 //! [`InferenceEngine`] still serves one blocking `classify` call at a
 //! time — one caller owns the whole engine. This module decouples
 //! *request submission* from *batch formation* so many concurrent clients
@@ -34,7 +34,7 @@
 //!   has been served. Results are **bitwise identical** to calling
 //!   [`InferenceEngine::classify`] directly, regardless of how requests
 //!   were coalesced into batches — every sample runs the exact same
-//!   compiled windowed kernel.
+//!   windowed transfer walk.
 //! * [`Server::shutdown`] **drains**: every request admitted to the queue
 //!   before shutdown is served and its ticket resolves; a submission
 //!   racing shutdown resolves to [`Error::ServerClosed`] instead of

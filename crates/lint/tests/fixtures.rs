@@ -29,6 +29,12 @@ fn no_fma_hit_miss_allow() {
     assert_eq!(lint(KERNEL_PATH, "no_fma_hit.rs"), ["no-fma"]);
     assert!(lint(KERNEL_PATH, "no_fma_miss.rs").is_empty());
     assert!(lint(KERNEL_PATH, "no_fma_allow.rs").is_empty());
+    // The transfer serving tier's kernel file is in scope like any other
+    // photonics source.
+    assert_eq!(
+        lint("crates/photonics/src/transfer.rs", "no_fma_hit.rs"),
+        ["no-fma"]
+    );
     // The rule is scoped to kernel crates: the same hit elsewhere is fine.
     assert!(lint("crates/core/src/fixture.rs", "no_fma_hit.rs").is_empty());
 }

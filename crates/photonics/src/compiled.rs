@@ -24,8 +24,9 @@
 //! [`CompiledLayer`] extends the same treatment to a whole SVD-mapped
 //! layer (`V*` mesh → attenuator column → `U` mesh) and adds the batched
 //! entry points ([`CompiledMesh::propagate_batch`],
-//! [`CompiledLayer::forward_batch`]) the inference engine serves sample
-//! windows through.
+//! [`CompiledLayer::forward_batch`]). Deployed stages are served by the
+//! [`transfer`](crate::transfer) tier, which realises each stage's matrix
+//! through one such batch; this walk stays its golden reference.
 
 use crate::mesh::MziMesh;
 use crate::svd_map::PhotonicLayer;
@@ -461,7 +462,8 @@ impl CompiledMesh {
     }
 }
 
-/// Where one gathered input mode of [`CompiledLayer::forward_gathered`]
+/// Where one gathered input mode of
+/// [`TransferLayer::forward_gathered`](crate::transfer::TransferLayer::forward_gathered)
 /// takes its field from. An im2col lowering of a convolution builds one
 /// `GatherSource` per mesh input mode per output position: in-bounds patch
 /// taps read input fields, padding taps are dark modes, and the bias tap
@@ -478,10 +480,10 @@ pub enum GatherSource {
 
 /// Expands one source sample through a gather `plan` into `dst`: each plan
 /// slot reads its input field, a dark (zero) mode, or the reference (unit)
-/// mode. This is the single source of truth for the im2col gather —
-/// [`CompiledLayer::forward_gathered`] runs it inline per sample, and the
-/// deploy layer's parallel gather path fans the same loop out across the
-/// executor, so both are bitwise identical by construction.
+/// mode. This is the single source of truth for the im2col gather:
+/// [`TransferLayer::gathered_into`](crate::transfer::TransferLayer::gathered_into)
+/// runs it per block of output positions, and the mesh-walk references
+/// the serving tier is tested against run it per row.
 ///
 /// The loop is **run-blocked** rather than per-slot: maximal runs of
 /// consecutive `Input(j), Input(j+1), …` taps (the common case — an
@@ -534,8 +536,9 @@ pub fn gather_into(plan: &[GatherSource], sample: &[Complex64], dst: &mut [Compl
 }
 
 /// A whole SVD-mapped layer (`V*` mesh → Σ attenuators → `U` mesh) baked
-/// into compiled kernels; the deploy-time artifact the serving engine
-/// stores and the deployment cache memoises.
+/// into compiled kernels: the builder of each deployed stage's
+/// [`TransferLayer`](crate::transfer::TransferLayer) and the golden
+/// reference that serving tier is pinned against.
 ///
 /// # Example
 ///
@@ -628,53 +631,6 @@ impl CompiledLayer {
         std::mem::swap(io, tmp);
     }
 
-    /// Batched forward over *im2col windows*: every sample of `src` (a
-    /// contiguous window of `src.len() / src_width` samples, each
-    /// `src_width` fields wide) is expanded into `plan.len() / input_dim`
-    /// gathered rows — one per convolution output position — and the whole
-    /// row window runs through [`CompiledLayer::forward_batch`] as one
-    /// compiled batch. `plan` maps each gathered mode to its source:
-    /// an input field, a dark (zero-padding) mode, or the always-on
-    /// reference (bias) mode.
-    ///
-    /// On exit `io` holds `samples × rows_per_sample × output_dim` fields,
-    /// row-major in `(sample, row)` order; `tmp` is caller-owned scratch.
-    /// Bitwise identical to gathering each row by hand and running it
-    /// through [`CompiledLayer::forward_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.len()` is not a multiple of
-    /// [`CompiledLayer::input_dim`], `src.len()` is not a multiple of
-    /// `src_width`, or a plan entry indexes past `src_width`.
-    pub fn forward_gathered(
-        &self,
-        src: &[Complex64],
-        src_width: usize,
-        plan: &[GatherSource],
-        io: &mut Vec<Complex64>,
-        tmp: &mut Vec<Complex64>,
-    ) {
-        assert!(
-            plan.len().is_multiple_of(self.n.max(1)) && self.n > 0,
-            "gather plan length must be a multiple of the layer fan-in"
-        );
-        assert!(
-            src_width > 0 && src.len().is_multiple_of(src_width),
-            "source window length must be a multiple of the sample width"
-        );
-        let rows_per_sample = plan.len() / self.n;
-        let samples = src.len() / src_width;
-        io.clear();
-        io.resize(samples * rows_per_sample * self.n, Complex64::ZERO);
-        for s in 0..samples {
-            let sample = &src[s * src_width..(s + 1) * src_width];
-            let dst = &mut io[s * plan.len()..(s + 1) * plan.len()];
-            gather_into(plan, sample, dst);
-        }
-        self.forward_batch(io, tmp, samples * rows_per_sample);
-    }
-
     /// Compiled forward pass over a window of `samples` contiguous
     /// samples: `io` holds `samples × n` input fields on entry and
     /// `samples × m` output fields on exit. Bitwise identical to running
@@ -757,46 +713,6 @@ mod tests {
         let compiled = CompiledMesh::compile(&mesh);
         assert_eq!(compiled.stage_count(), mesh.depth());
         assert_eq!(compiled.mzi_count(), mesh.mzi_count());
-    }
-
-    #[test]
-    fn forward_gathered_matches_manual_gather_bitwise() {
-        // A 3-mode layer fed two gathered rows per 4-wide source sample:
-        // the batched im2col entry point must be bitwise the hand-gathered
-        // per-row walk, including dark (padding) and reference (bias)
-        // modes.
-        let mut rng = StdRng::seed_from_u64(900);
-        let w = CMatrix::from_fn(2, 3, |_, _| {
-            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let layer = PhotonicLayer::from_matrix(&w, MeshStyle::Clements);
-        let compiled = CompiledLayer::compile(&layer);
-        let plan = [
-            GatherSource::Input(2),
-            GatherSource::Dark,
-            GatherSource::Reference,
-            GatherSource::Input(0),
-            GatherSource::Input(3),
-            GatherSource::Reference,
-        ];
-        let src = random_fields(3 * 4, 901); // three 4-wide samples
-        let (mut io, mut tmp) = (Vec::new(), Vec::new());
-        compiled.forward_gathered(&src, 4, &plan, &mut io, &mut tmp);
-
-        let mut want = Vec::new();
-        for s in 0..3 {
-            let sample = &src[s * 4..(s + 1) * 4];
-            for row in [
-                vec![sample[2], Complex64::ZERO, Complex64::ONE],
-                vec![sample[0], sample[3], Complex64::ONE],
-            ] {
-                let mut io_row = row;
-                let mut t = Vec::new();
-                compiled.forward_into(&mut io_row, &mut t);
-                want.extend(io_row);
-            }
-        }
-        assert_eq!(io, want);
     }
 
     proptest! {

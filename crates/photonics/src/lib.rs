@@ -18,7 +18,11 @@
 //! * [`compiled`] — meshes and SVD layers baked into precomputed
 //!   coefficient kernels at deploy time (bitwise identical to the
 //!   interpreted walk, no per-sample trigonometry), with batched
-//!   propagation entry points for the serving engine.
+//!   propagation entry points; the golden reference of the serving tier.
+//! * [`transfer`] — the serving tier: each SVD layer as the `[m, n]`
+//!   matrix its current phases realise (built through the compiled walk,
+//!   pinned against it within 1e-12 relative), served by a planar no-FMA
+//!   lane kernel that is bitwise across windows and worker counts.
 //! * [`count`] — MZI / DC / PS counting (the paper's area metric).
 //! * [`area`] — optional physical-footprint model.
 //! * [`power`] — phase-dependent static power (0–80 mW per PS).
@@ -55,6 +59,7 @@ pub mod mesh;
 pub mod power;
 pub mod reck;
 pub mod svd_map;
+pub mod transfer;
 
 pub use compiled::{CompiledLayer, CompiledMesh};
 pub use count::{mzi_count, DeviceCount};
@@ -63,3 +68,4 @@ pub use devices::Mzi;
 pub use drift::PhaseDrift;
 pub use mesh::MziMesh;
 pub use svd_map::{MeshStyle, PhotonicLayer};
+pub use transfer::TransferLayer;

@@ -1,17 +1,22 @@
-//! Integration tests for the compiled compute-kernel layer: compiled
-//! mesh/layer kernels pinned bitwise against the interpreted walk on
-//! realistic (decomposition-produced) meshes, the transpose-free GEMM
-//! layouts pinned bitwise against transpose-then-multiply, and the
-//! persistent executor serving the sharded engine across worker counts.
+//! Integration tests for the compute-kernel layer: compiled mesh/layer
+//! kernels pinned bitwise against the interpreted walk on realistic
+//! (decomposition-produced) meshes, the transfer serving tier pinned
+//! against that walk within its relative bound and bitwise across window
+//! splits, the transpose-free GEMM layouts pinned bitwise against
+//! transpose-then-multiply, and the persistent executor serving the
+//! sharded engine across worker counts.
 
 use oplix_linalg::{CMatrix, Complex64};
 use oplix_nn::ctensor::CTensor;
 use oplix_nn::tensor::Tensor;
 use oplix_photonics::clements::decompose_clements;
-use oplix_photonics::compiled::{CompiledLayer, CompiledMesh, MODE_MAJOR_MIN_SAMPLES};
+use oplix_photonics::compiled::{
+    gather_into, CompiledLayer, CompiledMesh, GatherSource, MODE_MAJOR_MIN_SAMPLES,
+};
 use oplix_photonics::decoder::DecoderKind;
 use oplix_photonics::reck::decompose_reck;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
+use oplix_photonics::transfer::TransferLayer;
 use oplixnet::engine::InferenceEngine;
 use oplixnet::pool;
 use oplixnet::zoo::{build_fcnn, FcnnConfig, ModelVariant};
@@ -71,6 +76,21 @@ fn compiled_svd_layers_are_bitwise_across_styles() {
             assert_eq!(io, reference, "{m}x{n} {style:?}");
         }
     }
+}
+
+fn random_weights(m: usize, n: usize, seed: u64) -> CMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    CMatrix::from_fn(m, n, |_, _| {
+        Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+    })
+}
+
+fn norm(v: &[Complex64]) -> f64 {
+    v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
+}
+
+fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
 }
 
 /// Naive strictly-ascending-`k` f32 matmul: the scalar twin the lane
@@ -176,6 +196,121 @@ proptest! {
             compiled.propagate_in_place(row);
         }
         prop_assert_eq!(batch, reference, "n={} samples={}", n, samples);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The transfer tier's tolerance contract against the golden MZI
+    /// walk: per row, `‖Δy‖₂ ≤ 1e-12·max(‖y‖₂, ‖x‖₂)` over tall, wide and
+    /// square maps up to the widest deployed stage, for both mesh styles.
+    #[test]
+    fn transfer_matches_mesh_walk_within_relative_bound(
+        m in 1usize..=32,
+        n in 1usize..=100,
+        samples in 1usize..=12,
+        reck in 0u8..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let style = if reck == 0 { MeshStyle::Clements } else { MeshStyle::Reck };
+        let layer = PhotonicLayer::from_matrix(&random_weights(m, n, seed), style);
+        let compiled = CompiledLayer::compile(&layer);
+        let transfer = TransferLayer::from_compiled(&compiled);
+        prop_assert_eq!((transfer.output_dim(), transfer.input_dim()), (m, n));
+        let x = random_fields(samples * n, seed ^ 0x7e57);
+        let (mut walk, mut fast) = (x.clone(), x.clone());
+        let mut tmp = Vec::new();
+        compiled.forward_batch(&mut walk, &mut tmp, samples);
+        transfer.forward_batch(&mut fast, &mut tmp, samples);
+        for s in 0..samples {
+            let y = &walk[s * m..(s + 1) * m];
+            let diff: Vec<Complex64> = y
+                .iter()
+                .zip(&fast[s * m..(s + 1) * m])
+                .map(|(a, b)| *a - *b)
+                .collect();
+            let bound = 1e-12 * norm(y).max(norm(&x[s * n..(s + 1) * n]));
+            prop_assert!(
+                norm(&diff) <= bound,
+                "{}x{} {:?} row {}: |dy| {:e} > {:e}",
+                m, n, style, s, norm(&diff), bound
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A row's transfer output does not depend on the window it is served
+    /// in: the whole window, the window split at any point, and every row
+    /// on its own agree bitwise — across output widths on both sides of
+    /// the lane-orientation switch and windows straddling every lane and
+    /// block width.
+    #[test]
+    fn transfer_rows_are_bitwise_across_window_splits(
+        m in 1usize..=24,
+        n in 1usize..=40,
+        samples in 0usize..=40,
+        split in 0usize..=40,
+        seed in 0u64..u64::MAX,
+    ) {
+        let split = split.min(samples);
+        let layer = PhotonicLayer::from_matrix(&random_weights(m, n, seed), MeshStyle::Clements);
+        let transfer = TransferLayer::compile(&layer);
+        let x = random_fields(samples * n, seed ^ 0x5b1);
+        let mut tmp = Vec::new();
+        let mut whole = x.clone();
+        transfer.forward_batch(&mut whole, &mut tmp, samples);
+        let mut parts = Vec::new();
+        for (lo, hi) in [(0, split), (split, samples)] {
+            let mut part = x[lo * n..hi * n].to_vec();
+            transfer.forward_batch(&mut part, &mut tmp, hi - lo);
+            parts.extend(part);
+        }
+        prop_assert_eq!(bits(&parts), bits(&whole));
+        let mut rows = Vec::new();
+        for row in x.chunks_exact(n) {
+            let mut one = row.to_vec();
+            transfer.forward_batch(&mut one, &mut tmp, 1);
+            rows.extend(one);
+        }
+        prop_assert_eq!(bits(&rows), bits(&whole));
+    }
+
+    /// The blocked im2col entry point is bitwise gathering every row by
+    /// hand and serving the window through `forward_batch`, with plans
+    /// mixing input taps, dark (padding) and reference (bias) modes over
+    /// position counts straddling the gather block.
+    #[test]
+    fn transfer_forward_gathered_is_bitwise_gather_then_batch(
+        m in 1usize..=12,
+        n in 1usize..=20,
+        positions in 1usize..=70,
+        samples in 0usize..=5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let width = 9usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan: Vec<GatherSource> = (0..positions * n)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => GatherSource::Dark,
+                1 => GatherSource::Reference,
+                _ => GatherSource::Input(rng.gen_range(0..width as u32)),
+            })
+            .collect();
+        let layer = PhotonicLayer::from_matrix(&random_weights(m, n, seed ^ 1), MeshStyle::Clements);
+        let transfer = TransferLayer::compile(&layer);
+        let src = random_fields(samples * width, seed ^ 2);
+        let (mut io, mut tmp) = (Vec::new(), Vec::new());
+        transfer.forward_gathered(&src, width, &plan, &mut io, &mut tmp);
+        let mut want = vec![Complex64::ZERO; samples * plan.len()];
+        for (sample, dst) in src.chunks_exact(width).zip(want.chunks_exact_mut(plan.len())) {
+            gather_into(&plan, sample, dst);
+        }
+        transfer.forward_batch(&mut want, &mut tmp, samples * positions);
+        prop_assert_eq!(bits(&io), bits(&want));
     }
 }
 

@@ -337,15 +337,16 @@ fn expired_deadline_is_refused_at_admission() {
 /// not drive a zero-sample batch into the engine. The lane rejects each
 /// expired request with the typed error and skips the flush entirely —
 /// no `batches` increment, no engine call. The scenario: one full batch
-/// of long-deadline plugs keeps the engine busy (a wide hidden layer
-/// makes the flush slow), and victims admitted *while that flush is
+/// of long-deadline plugs keeps the engine busy (a wide hidden layer and
+/// a 2 048-sample batch make the flush take milliseconds even on the
+/// transfer tier), and victims admitted *while that flush is
 /// serving* carry deadlines that expire before the batcher looks at the
 /// queue again — so the next flush pops an all-expired backlog. The
 /// retry loop absorbs OS scheduling noise (a machine fast enough to
 /// finish the plug flush before the victims expire just retries).
 #[test]
 fn all_expired_flush_never_reaches_the_engine() {
-    const PLUGS: usize = 64;
+    const PLUGS: usize = 2048;
     const VICTIMS: usize = 4;
     let test = test_view(PLUGS + VICTIMS, 90_001);
     let input = test.inputs.shape()[1];
