@@ -14,8 +14,11 @@
 //! The gate only runs when the baseline's `cores`/`rustc` metadata
 //! matches the current environment ([`env_mismatch`]); otherwise it
 //! prints why and exits 0 — a laptop baseline compared on a CI runner is
-//! noise, not signal. After a legitimate speedup, refresh the baseline
-//! with `cargo bench --bench kernel_compute` and commit the new JSON.
+//! noise, not signal. It always prints how many metrics it compared and
+//! how many it skipped, and says `PASS` only when it compared at least
+//! one; a run that compared nothing ends in `perf-smoke SKIP: 0 metrics
+//! compared`. After a legitimate speedup, refresh the baseline with
+//! `cargo bench --bench kernel_compute` and commit the new JSON.
 //!
 //! Set `OPLIX_PERF_SMOKE_HANDICAP=<factor>` to multiply every measured
 //! time before comparison — used once per change to verify the gate
@@ -50,7 +53,7 @@ fn timed<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 /// Re-measures the pinned kernel metrics (same shapes and seeds as
 /// `kernel_compute`, fewer repetitions). Returns `(baseline_key,
 /// measured_value)` pairs; smaller is better for every metric.
-fn measure() -> Vec<(&'static str, f64)> {
+fn measure() -> [(&'static str, f64); 7] {
     const MODES: usize = 16;
     let mut rng = StdRng::seed_from_u64(21);
     let mesh = decompose_clements(&CMatrix::random_unitary(MODES, &mut rng));
@@ -114,7 +117,7 @@ fn measure() -> Vec<(&'static str, f64)> {
         lenet.predict_batch(&view).expect("staged walk");
     });
 
-    vec![
+    [
         ("mesh16_interpreted_ns_per_sample", interp * 1e9),
         ("mesh16_compiled_ns_per_sample", comp * 1e9),
         ("mesh16_compiled_batch_ns_per_sample", batch * 1e9),
@@ -128,50 +131,70 @@ fn measure() -> Vec<(&'static str, f64)> {
     ]
 }
 
+/// What one gate run did with its `N` pinned metrics.
+#[derive(Default)]
+struct Tally {
+    failed: bool,
+    compared: usize,
+    skipped: usize,
+}
+
 /// Gates one `(baseline file, re-measured metrics)` pair. A missing
-/// baseline or a mismatched environment skips (prints why); a malformed
-/// baseline, a missing pinned key, or a metric beyond
-/// [`PERF_SMOKE_THRESHOLD`]× fails. Returns whether the gate failed.
-/// Measurement is lazy so a skipped gate costs nothing.
-fn gate(path: &str, measure: impl FnOnce() -> Vec<(&'static str, f64)>, handicap: f64) -> bool {
+/// baseline or a mismatched environment skips all `N` metrics (prints
+/// why); a malformed baseline, a missing pinned key, or a metric beyond
+/// [`PERF_SMOKE_THRESHOLD`]× fails. Measurement is lazy so a skipped
+/// gate costs nothing.
+fn gate<const N: usize>(
+    path: &str,
+    measure: impl FnOnce() -> [(&'static str, f64); N],
+    handicap: f64,
+) -> Tally {
+    let skip_all = Tally {
+        skipped: N,
+        ..Tally::default()
+    };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             println!("perf-smoke SKIP: no baseline at {path}: {e}");
-            return false;
+            return skip_all;
         }
     };
     let baseline = match parse_flat_json(&text) {
         Some(map) => map,
         None => {
             println!("perf-smoke FAIL: {path} is not a flat JSON baseline");
-            return true;
+            return Tally {
+                failed: true,
+                ..Tally::default()
+            };
         }
     };
     let current = BenchMeta::current();
     if let Some(reason) = env_mismatch(&baseline, &current) {
         println!("perf-smoke SKIP ({path}): {reason}");
-        return false;
+        return skip_all;
     }
 
-    let mut failed = false;
+    let mut tally = Tally::default();
     for (key, measured) in measure() {
         let measured = measured * handicap;
         let Some(base) = baseline.get(key).and_then(|v| v.as_number()) else {
             println!("perf-smoke FAIL: baseline {path} is missing `{key}`");
-            failed = true;
+            tally.failed = true;
             continue;
         };
+        tally.compared += 1;
         let ratio = measured / base;
         let verdict = if ratio > PERF_SMOKE_THRESHOLD {
-            failed = true;
+            tally.failed = true;
             "REGRESSED"
         } else {
             "ok"
         };
         println!("perf-smoke: {key:40} baseline {base:10.2}  measured {measured:10.2}  ({ratio:.2}x) {verdict}");
     }
-    failed
+    tally
 }
 
 fn main() {
@@ -185,7 +208,12 @@ fn main() {
     }
 
     let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    if gate(kernels, measure, handicap) {
+    let tally = gate(kernels, measure, handicap);
+    println!(
+        "perf-smoke: {} metric(s) compared, {} skipped",
+        tally.compared, tally.skipped
+    );
+    if tally.failed {
         println!(
             "perf-smoke FAIL: at least one metric regressed beyond \
              {PERF_SMOKE_THRESHOLD}x its checked-in baseline. If a slowdown is \
@@ -195,5 +223,12 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("perf-smoke PASS: all pinned metrics within {PERF_SMOKE_THRESHOLD}x of baseline");
+    if tally.compared == 0 {
+        println!("perf-smoke SKIP: 0 metrics compared");
+        return;
+    }
+    println!(
+        "perf-smoke PASS: all {} compared metrics within {PERF_SMOKE_THRESHOLD}x of baseline",
+        tally.compared
+    );
 }

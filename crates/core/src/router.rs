@@ -2,7 +2,7 @@
 //! deployments with deadline-aware (EDF) micro-batching.
 //!
 //! The [`crate::serve`] front end owns exactly one deployed model and
-//! flushes FIFO. Production photonic serving is multi-tenant: many models
+//! serves it FIFO. Production photonic serving is multi-tenant: many models
 //! share one substrate, requests carry latency budgets, and one hot
 //! tenant must not starve the rest. This module is that tier:
 //!
@@ -23,10 +23,11 @@
 //!   Unknown names are refused with [`Error::UnknownModel`]; a request
 //!   whose deadline has already passed is refused with
 //!   [`Error::DeadlineExceeded`] before it costs a queue slot.
-//! * **Per-model lanes**: each registered model owns a bounded queue and
-//!   a dedicated batcher thread over its own [`InferenceEngine`] —
-//!   the same queue/ticket/backpressure machinery as
-//!   [`crate::serve::Server`], generalised to N lanes behind one router.
+//! * **Per-model lanes**: each registered model owns a serving lane — a
+//!   bounded queue and a dedicated batcher thread over its own
+//!   [`InferenceEngine`]. It is the very lane a [`crate::serve::Server`]
+//!   is a façade over (one queue/ticket/backpressure/version-gate core),
+//!   here with deadlines, priorities and a fair-share slot.
 //!   Models register and deregister at runtime; registration goes
 //!   through the process-wide deploy cache, so two models over the same
 //!   weights share one cached decomposition
@@ -42,10 +43,13 @@
 //!   aborts the swap — its replacement engine returns through the
 //!   [`SwapTicket`] as [`crate::serve::SwapOutcome::Aborted`], never
 //!   lost.
-//! * **EDF batching**: lanes coalesce like the FIFO server (flush on
-//!   `max_batch` or `max_wait`), but the pending set is an
-//!   [`EdfQueue`] — flushes pop by earliest deadline, then priority
-//!   class, then arrival. A deadline that would expire inside the
+//! * **EDF batching**: every lane's pending set is an [`EdfQueue`]
+//!   (flush on `max_batch` or `max_wait`) — flushes pop by earliest
+//!   deadline, then priority class, then arrival; the server's
+//!   deadline-less traffic is the FIFO special case. The pending set
+//!   holds at most `queue_cap` requests, so a lane's backlog is bounded
+//!   by twice its [`RouterBuilder::queue_cap`]. A deadline that would
+//!   expire inside the
 //!   coalescing window cuts the window short, and a request found
 //!   expired at flush time is rejected with
 //!   [`Error::DeadlineExceeded`] instead of wasting mesh cycles.
@@ -64,23 +68,18 @@
 
 use crate::engine::{Confidence, InferenceEngine};
 use crate::error::Error;
-use crate::serve::{
-    decide, relock, Control, Counters, EngineRack, Prediction, ServerStats, SwapTicket, VersionGate,
-};
+use crate::lane::{self, relock, FairShare, FairSlot, Lane};
+use crate::serve::{Prediction, ServerStats, SwapTicket};
 use oplix_linalg::Complex64;
 use oplix_nn::network::Network;
 use oplix_photonics::svd_map::MeshStyle;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::deploy::DeployedDetection;
-
-/// How often an idle lane batcher wakes to check its stop flag (the same
-/// shutdown-latency knob as the single-model server's).
-const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// The priority class a [`RouterRequest`] carries. Within one deadline
 /// tier the EDF batcher flushes lower variants first, so the derived
@@ -97,33 +96,14 @@ pub enum Priority {
     Batch,
 }
 
-/// The scheduling key of one queued entry: earliest deadline first
-/// (deadline-less entries sort after every deadline), then priority
-/// class, then admission order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The scheduling key of one queued entry that carries a deadline:
+/// earliest deadline first, then priority class, then admission order
+/// (the derived order is field order).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct EdfKey {
-    deadline: Option<Instant>,
+    deadline: Instant,
     priority: Priority,
     seq: u64,
-}
-
-impl Ord for EdfKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        match (self.deadline, other.deadline) {
-            (Some(a), Some(b)) => a.cmp(&b),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => std::cmp::Ordering::Equal,
-        }
-        .then_with(|| self.priority.cmp(&other.priority))
-        .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for EdfKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 struct EdfEntry<T> {
@@ -164,9 +144,14 @@ pub struct EdfItem<T> {
 
 /// An earliest-deadline-first priority queue: entries pop ordered by
 /// deadline (entries without one sort last), then [`Priority`], then
-/// push order. This is the pending set of every router lane; it is
-/// public so schedulers and property tests can exercise the ordering
-/// directly.
+/// push order. This is the pending set of every serving lane (router
+/// lanes and the single-model server alike); it is public so schedulers
+/// and property tests can exercise the ordering directly.
+///
+/// Entries with a deadline live in a binary heap; deadline-less entries,
+/// which rank after every deadline, live in one FIFO per priority class.
+/// Deadline-free traffic — all of a server's — therefore pushes and pops
+/// in O(1) without heap sifting, in the same order the single heap gave.
 ///
 /// ```
 /// use oplixnet::router::{EdfQueue, Priority};
@@ -183,7 +168,11 @@ pub struct EdfItem<T> {
 /// assert_eq!(order, ["tight", "loose", "interactive", "no deadline"]);
 /// ```
 pub struct EdfQueue<T> {
-    heap: BinaryHeap<std::cmp::Reverse<EdfEntry<T>>>,
+    /// Entries with a deadline, keyed (deadline, priority, push order).
+    heap: BinaryHeap<Reverse<EdfEntry<T>>>,
+    /// Deadline-less entries, which rank after every deadline: one FIFO
+    /// (arrival instant, payload) per priority class, in class order.
+    fifos: [VecDeque<(Instant, T)>; 3],
     seq: u64,
 }
 
@@ -198,6 +187,7 @@ impl<T> EdfQueue<T> {
     pub fn new() -> Self {
         EdfQueue {
             heap: BinaryHeap::new(),
+            fifos: Default::default(),
             seq: 0,
         }
     }
@@ -210,52 +200,70 @@ impl<T> EdfQueue<T> {
         arrived: Instant,
         value: T,
     ) {
-        let key = EdfKey {
-            deadline,
-            priority,
-            seq: self.seq,
-        };
-        self.seq += 1;
-        self.heap.push(std::cmp::Reverse(EdfEntry {
-            key,
-            arrived,
-            value,
-        }));
+        match deadline {
+            Some(deadline) => {
+                let key = EdfKey {
+                    deadline,
+                    priority,
+                    seq: self.seq,
+                };
+                self.seq += 1;
+                self.heap.push(Reverse(EdfEntry {
+                    key,
+                    arrived,
+                    value,
+                }));
+            }
+            None => self.fifos[priority as usize].push_back((arrived, value)),
+        }
     }
 
     /// Pops the scheduling-first entry, if any.
     pub fn pop(&mut self) -> Option<EdfItem<T>> {
-        self.heap.pop().map(|std::cmp::Reverse(e)| EdfItem {
-            deadline: e.key.deadline,
-            priority: e.key.priority,
-            arrived: e.arrived,
-            value: e.value,
-        })
+        if let Some(Reverse(e)) = self.heap.pop() {
+            return Some(EdfItem {
+                deadline: Some(e.key.deadline),
+                priority: e.key.priority,
+                arrived: e.arrived,
+                value: e.value,
+            });
+        }
+        let classes = [Priority::Interactive, Priority::Standard, Priority::Batch];
+        self.fifos
+            .iter_mut()
+            .zip(classes)
+            .find_map(|(fifo, priority)| {
+                fifo.pop_front().map(|(arrived, value)| EdfItem {
+                    deadline: None,
+                    priority,
+                    arrived,
+                    value,
+                })
+            })
     }
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.fifos.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// The earliest deadline among queued entries (`None` if no entry
-    /// carries one). O(1): it is the head's deadline unless the head is
-    /// deadline-less, in which case nothing has one.
+    /// carries one). O(1): the deadline heap's head.
     pub fn earliest_deadline(&self) -> Option<Instant> {
-        self.heap
-            .peek()
-            .and_then(|std::cmp::Reverse(e)| e.key.deadline)
+        self.heap.peek().map(|Reverse(e)| e.key.deadline)
     }
 
     /// The earliest arrival among queued entries — what anchors the
     /// `max_wait` flush window. O(n).
     pub fn oldest_arrival(&self) -> Option<Instant> {
-        self.heap.iter().map(|std::cmp::Reverse(e)| e.arrived).min()
+        let deadlined = self.heap.iter().map(|Reverse(e)| e.arrived);
+        let fifo = self.fifos.iter().flatten().map(|(arrived, _)| *arrived);
+        deadlined.chain(fifo).min()
     }
 }
 
@@ -324,8 +332,8 @@ pub struct Served {
 /// metadata alongside the prediction.
 #[derive(Debug)]
 pub struct RouterTicket {
-    rx: mpsc::Receiver<Result<Served, Error>>,
-    done: Option<Result<Served, Error>>,
+    pub(crate) rx: mpsc::Receiver<Result<Served, Error>>,
+    pub(crate) done: Option<Result<Served, Error>>,
 }
 
 impl RouterTicket {
@@ -360,160 +368,12 @@ impl RouterTicket {
     }
 }
 
-/// One queued lane request (the router-side analogue of the serve
-/// module's `Request`, plus its scheduling key).
-struct LaneRequest {
-    fields: Vec<Complex64>,
-    reply: mpsc::Sender<Result<Served, Error>>,
-    enqueued_at: Instant,
-    deadline: Option<Instant>,
-    priority: Priority,
-    version: u64,
-}
-
-/// What flows through a lane queue: routed requests interleaved with
-/// version-change controls, exactly like the serve module's envelope.
-/// FIFO channel order + controls published under the lane gate's write
-/// lock = version order, so the batcher can retire engines safely.
-enum LaneEnvelope {
-    Request(LaneRequest),
-    Control(Control),
-}
-
-/// Per-lane weighted queue depths (`queued requests × optical weight`),
-/// keyed by lane registration id — the inputs to the largest-remainder
-/// split of the `--jobs` worker budget. A registry rather than a single
-/// router-wide sum: computing every lane's share from one consistent
-/// snapshot is what keeps the *summed* allocation bounded (the old
-/// per-lane `clamp(1, jobs)` let N idle-but-nonempty lanes claim N >
-/// jobs shards in aggregate).
-#[derive(Default)]
-struct FairShare {
-    lanes: Mutex<BTreeMap<u64, u64>>,
-    next_id: AtomicU64,
-}
-
-impl FairShare {
-    /// Adds a lane to the registry (weighted depth 0) and returns its id.
-    fn register(&self) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        relock(self.lanes.lock()).insert(id, 0);
-        id
-    }
-
-    /// Removes a lane; its workers return to the splittable budget.
-    fn deregister(&self, id: u64) {
-        relock(self.lanes.lock()).remove(&id);
-    }
-
-    /// One admission: the lane's weighted depth grows by its weight.
-    fn add(&self, id: u64, weight: u64) {
-        if let Some(w) = relock(self.lanes.lock()).get_mut(&id) {
-            *w += weight;
-        }
-    }
-
-    /// One response: the admission's weight is handed back.
-    fn sub(&self, id: u64, weight: u64) {
-        if let Some(w) = relock(self.lanes.lock()).get_mut(&id) {
-            *w = w.saturating_sub(weight);
-        }
-    }
-
-    /// Lane `id`'s share of the `jobs` budget under one consistent
-    /// registry snapshot, floored at the one worker the lane itself is
-    /// (a lane about to serve a batch always runs at least itself).
-    fn share_for(&self, id: u64, jobs: usize) -> usize {
-        let lanes = relock(self.lanes.lock());
-        let idx = lanes.keys().position(|k| *k == id);
-        let weights: Vec<u64> = lanes.values().copied().collect();
-        drop(lanes);
-        idx.map_or(1, |i| fair_shares(jobs, &weights)[i].max(1))
-    }
-}
-
-/// Splits the `jobs` worker budget across lanes by weighted queue depth,
-/// bounding the **sum**: every live lane (weight > 0) keeps the one
-/// worker it is, and only the remaining budget — `jobs` minus the live
-/// lane count, when positive — is divided proportionally by weight with
-/// a largest-remainder rounding (remainder ties break toward the lower
-/// index, so the split is deterministic). Idle lanes (weight 0) get 0.
-///
-/// Invariant: `Σ shares == max(jobs, live lanes)` whenever any lane is
-/// live — the allocation oversubscribes the budget only by the floor
-/// that serving lanes physically occupy, never by proportional rounding.
-fn fair_shares(jobs: usize, weights: &[u64]) -> Vec<usize> {
-    let jobs = jobs.max(1);
-    let mut shares: Vec<usize> = weights.iter().map(|&w| usize::from(w > 0)).collect();
-    let live: usize = shares.iter().sum();
-    let spare = jobs.saturating_sub(live);
-    let total: u64 = weights.iter().sum();
-    if spare == 0 || total == 0 {
-        return shares;
-    }
-    // Largest-remainder split of the spare workers by weight: floors
-    // first, then one extra worker per largest fractional part until the
-    // spare pool is spent.
-    let mut remainders: Vec<(usize, u64)> = Vec::with_capacity(weights.len());
-    let mut assigned = 0usize;
-    for (i, &w) in weights.iter().enumerate() {
-        if w == 0 {
-            continue;
-        }
-        let scaled = spare as u128 * w as u128;
-        shares[i] += (scaled / total as u128) as usize;
-        assigned += (scaled / total as u128) as usize;
-        remainders.push((i, (scaled % total as u128) as u64));
-    }
-    remainders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    for (i, _) in remainders.into_iter().take(spare - assigned) {
-        shares[i] += 1;
-    }
-    shares
-}
-
-/// The flush policy every lane inherits from its [`RouterBuilder`].
-#[derive(Clone, Copy)]
-struct LanePolicy {
-    max_batch: usize,
-    max_wait: Duration,
-    confidence: Option<Confidence>,
-}
-
-/// One registered model: its bounded queue, counters and batcher thread.
-struct Lane {
-    /// Admission side of the lane queue; taken (and dropped) on
-    /// shutdown/deregistration so the batcher's drain terminates.
-    tx: Mutex<Option<mpsc::SyncSender<LaneEnvelope>>>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    /// The lane's version barrier (see [`crate::serve`]): admissions
-    /// stamp + send under its read side, swaps publish under its write
-    /// side.
-    gate: Arc<VersionGate>,
-    deadline_missed: Arc<AtomicU64>,
-    input_dim: usize,
-    queue_cap: usize,
-    /// Scheduling weight: the deployment's optical stage count (deeper
-    /// meshes cost more per sample), floored at 1.
-    weight: u64,
-    /// This lane's slot in the router-wide [`FairShare`] registry.
-    fair_id: u64,
+/// One registered model: its serving lane plus what the router reports
+/// about the deployment.
+struct Model {
+    lane: Arc<Lane>,
     optical_stages: usize,
     cache_shared: bool,
-    handle: Mutex<Option<thread::JoinHandle<InferenceEngine>>>,
-}
-
-impl Lane {
-    /// Stops the lane, drains its queue and joins the batcher, handing
-    /// the engine back. Idempotent; `None` after the first call.
-    fn shutdown(&self) -> Option<InferenceEngine> {
-        self.stop.store(true, Ordering::SeqCst);
-        drop(relock(self.tx.lock()).take());
-        relock(self.handle.lock())
-            .take()
-            .map(|h| h.join().expect("router lane batcher panicked"))
-    }
 }
 
 /// Everything the router handle and its clients share.
@@ -521,9 +381,8 @@ struct RouterCore {
     // Name-ordered, so every walk over the lane table — stats snapshots,
     // shutdown drains — is deterministic by construction (the
     // determinism-hazards lint forbids hash iteration on serving paths).
-    lanes: RwLock<BTreeMap<String, Arc<Lane>>>,
-    policy: LanePolicy,
-    queue_cap: usize,
+    lanes: RwLock<BTreeMap<String, Model>>,
+    policy: lane::Policy,
     closed: AtomicBool,
     fair: Arc<FairShare>,
 }
@@ -535,83 +394,40 @@ impl RouterCore {
         }
         let lane = relock(self.lanes.read())
             .get(&req.model)
-            .cloned()
+            .map(|m| Arc::clone(&m.lane))
             .ok_or(Error::UnknownModel { model: req.model })?;
-        if req.fields.len() != lane.input_dim {
-            return Err(Error::ShapeMismatch {
-                expected: lane.input_dim,
-                got: req.fields.len(),
-                what: "sample width",
-            });
-        }
-        let now = Instant::now();
-        if let Some(deadline) = req.deadline {
-            if now >= deadline {
-                // Refuse before the request costs a queue slot: a result
-                // nobody can use should not spend mesh cycles.
-                lane.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                return Err(Error::DeadlineExceeded {
-                    missed_by: now - deadline,
-                });
-            }
-        }
-        let tx = relock(lane.tx.lock()).clone().ok_or(Error::ServerClosed)?;
-        let (reply, rx) = mpsc::channel();
-        let fields = req.fields;
-        // Stamp + send under the lane gate's read side, so no swap
-        // barrier can land between the version stamp and the queue send.
-        let sent = lane.gate.admit(|version| {
-            let request = LaneEnvelope::Request(LaneRequest {
-                fields,
-                reply,
-                enqueued_at: now,
-                deadline: req.deadline,
-                priority: req.priority,
-                version,
-            });
-            if blocking {
-                tx.send(request).map_err(|_| Error::ServerClosed)
-            } else {
-                tx.try_send(request).map_err(|e| match e {
-                    mpsc::TrySendError::Full(_) => Error::QueueFull {
-                        capacity: lane.queue_cap,
-                    },
-                    mpsc::TrySendError::Disconnected(_) => Error::ServerClosed,
-                })
-            }
-        });
-        match sent {
-            Ok(_) => {
-                lane.counters.admitted();
-                self.fair.add(lane.fair_id, lane.weight);
-                Ok(RouterTicket { rx, done: None })
-            }
-            Err(e) => {
-                if matches!(e, Error::QueueFull { .. }) {
-                    lane.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
+        let (_, rx) = lane.submit(req.fields, None, req.deadline, req.priority, blocking)?;
+        Ok(RouterTicket { rx, done: None })
+    }
+
+    /// The lane registered under `name`.
+    fn lane(&self, name: &str) -> Result<Arc<Lane>, Error> {
+        relock(self.lanes.read())
+            .get(name)
+            .map(|m| Arc::clone(&m.lane))
+            .ok_or_else(|| Error::UnknownModel {
+                model: name.to_string(),
+            })
     }
 
     fn stats(&self) -> RouterStats {
         let lanes = relock(self.lanes.read());
         let mut models = BTreeMap::new();
         let mut shared = 0;
-        for (name, lane) in lanes.iter() {
-            if lane.cache_shared {
+        for (name, model) in lanes.iter() {
+            if model.cache_shared {
                 shared += 1;
             }
+            let counters = &model.lane.counters;
             models.insert(
                 name.clone(),
                 ModelStats {
-                    serve: lane.counters.snapshot(lane.gate.version()),
-                    deadline_missed: lane.deadline_missed.load(Ordering::Relaxed),
-                    wait_p50: lane.counters.waits.quantile(0.5),
-                    wait_p99: lane.counters.waits.quantile(0.99),
-                    cache_shared: lane.cache_shared,
-                    optical_stages: lane.optical_stages,
+                    serve: model.lane.stats(),
+                    deadline_missed: counters.deadline_missed.load(Ordering::Relaxed),
+                    wait_p50: counters.waits.quantile(0.5),
+                    wait_p99: counters.waits.quantile(0.99),
+                    cache_shared: model.cache_shared,
+                    optical_stages: model.optical_stages,
                 },
             );
         }
@@ -623,15 +439,12 @@ impl RouterCore {
 
     fn shutdown_all(&self) -> Vec<(String, InferenceEngine)> {
         self.closed.store(true, Ordering::SeqCst);
-        let lanes: Vec<(String, Arc<Lane>)> = {
-            let mut map = relock(self.lanes.write());
-            // BTreeMap iteration is already name-ordered; no sort needed
-            // for a deterministic shutdown sequence.
-            std::mem::take(&mut *map).into_iter().collect()
-        };
+        // BTreeMap iteration is already name-ordered; no sort needed for a
+        // deterministic shutdown sequence.
+        let lanes = std::mem::take(&mut *relock(self.lanes.write()));
         lanes
             .into_iter()
-            .filter_map(|(name, lane)| lane.shutdown().map(|engine| (name, engine)))
+            .filter_map(|(name, m)| m.lane.shutdown().map(|engine| (name, engine)))
             .collect()
     }
 }
@@ -672,30 +485,16 @@ pub struct RouterStats {
 
 /// Configures and creates a [`Router`]; see [`Router::builder`]. The
 /// flush policy applies to every lane the router registers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RouterBuilder {
-    max_batch: usize,
-    max_wait: Duration,
-    queue_cap: usize,
-    confidence: Option<Confidence>,
-}
-
-impl Default for RouterBuilder {
-    fn default() -> Self {
-        RouterBuilder {
-            max_batch: 64,
-            max_wait: Duration::from_millis(1),
-            queue_cap: 1024,
-            confidence: None,
-        }
-    }
+    policy: lane::Policy,
 }
 
 impl RouterBuilder {
     /// Flush a lane's micro-batch at this many samples (clamped to ≥ 1;
     /// default 64).
     pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n.max(1);
+        self.policy.max_batch = n.max(1);
         self
     }
 
@@ -703,20 +502,23 @@ impl RouterBuilder {
     /// (default 1 ms; clamped to ≤ 1 h). A queued deadline that would
     /// expire sooner cuts the window short.
     pub fn max_wait(mut self, d: Duration) -> Self {
-        self.max_wait = d.min(Duration::from_secs(3600));
+        self.policy.max_wait = d.min(Duration::from_secs(3600));
         self
     }
 
     /// Bound of each lane's admission queue (clamped to ≥ 1; default
-    /// 1024).
+    /// 1024). A lane's batcher takes requests off the queue only while
+    /// its EDF pending set holds fewer than this many, so a lane's
+    /// admitted-but-unanswered requests (its
+    /// [`ServerStats::queue_depth`]) never exceed twice the bound.
     pub fn queue_cap(mut self, n: usize) -> Self {
-        self.queue_cap = n.max(1);
+        self.policy.queue_cap = n.max(1);
         self
     }
 
     /// Installs an abstention [`Confidence`] policy on every lane.
     pub fn confidence(mut self, c: Confidence) -> Self {
-        self.confidence = Some(c);
+        self.policy.confidence = Some(c);
         self
     }
 
@@ -725,12 +527,7 @@ impl RouterBuilder {
         Router {
             core: Arc::new(RouterCore {
                 lanes: RwLock::new(BTreeMap::new()),
-                policy: LanePolicy {
-                    max_batch: self.max_batch,
-                    max_wait: self.max_wait,
-                    confidence: self.confidence,
-                },
-                queue_cap: self.queue_cap,
+                policy: self.policy,
                 closed: AtomicBool::new(false),
                 fair: Arc::new(FairShare::default()),
             }),
@@ -858,55 +655,22 @@ impl Router {
         if lanes.contains_key(&name) {
             return Err(Error::DuplicateModel { model: name });
         }
-        let input_dim = engine.input_dim();
         let optical_stages = engine.deployed().num_optical_stages();
-        let weight = optical_stages.max(1) as u64;
-        let fair_id = core.fair.register();
-        let (tx, rx) = mpsc::sync_channel::<LaneEnvelope>(core.queue_cap);
-        let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
-        let gate = Arc::new(VersionGate::new());
-        let deadline_missed = Arc::new(AtomicU64::new(0));
-        let rack = EngineRack::new(engine, &counters);
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            let deadline_missed = Arc::clone(&deadline_missed);
-            let fair = Arc::clone(&core.fair);
-            let policy = core.policy;
-            thread::Builder::new()
-                .name(format!("oplix-route-{name}"))
-                .spawn(move || {
-                    lane_batcher(
-                        rack,
-                        rx,
-                        policy,
-                        stop,
-                        counters,
-                        deadline_missed,
-                        fair,
-                        fair_id,
-                        weight,
-                    )
-                })
-                .expect("failed to spawn a router lane batcher thread")
-        };
+        let fair = FairSlot::register(&core.fair, optical_stages.max(1) as u64);
+        let lane = Lane::spawn(
+            format!("oplix-route-{name}"),
+            engine,
+            core.policy,
+            Some(fair),
+            None,
+        );
         lanes.insert(
             name,
-            Arc::new(Lane {
-                tx: Mutex::new(Some(tx)),
-                stop,
-                counters,
-                gate,
-                deadline_missed,
-                input_dim,
-                queue_cap: core.queue_cap,
-                weight,
-                fair_id,
+            Model {
+                lane,
                 optical_stages,
                 cache_shared,
-                handle: Mutex::new(Some(handle)),
-            }),
+            },
         );
         Ok(())
     }
@@ -949,33 +713,7 @@ impl Router {
         name: &str,
         engine: InferenceEngine,
     ) -> Result<SwapTicket, Error> {
-        let lane = relock(self.core.lanes.read())
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::UnknownModel {
-                model: name.to_string(),
-            })?;
-        if engine.input_dim() != lane.input_dim {
-            return Err(Error::ShapeMismatch {
-                expected: lane.input_dim,
-                got: engine.input_dim(),
-                what: "candidate input width",
-            });
-        }
-        let tx = relock(lane.tx.lock()).clone().ok_or(Error::ServerClosed)?;
-        let (reply, rx) = mpsc::channel();
-        lane.gate.barrier(|state| {
-            let version = state.current + 1;
-            tx.send(LaneEnvelope::Control(Control::Swap {
-                engine: Box::new(engine),
-                version,
-                reply,
-            }))
-            .map_err(|_| Error::ServerClosed)?;
-            state.current = version;
-            Ok(())
-        })?;
-        Ok(SwapTicket { rx })
+        self.core.lane(name)?.swap(engine)
     }
 
     /// Deregisters `name`: admission to the lane closes, every queued
@@ -993,7 +731,7 @@ impl Router {
     ///
     /// [`Error::UnknownModel`] if `name` is not registered.
     pub fn deregister(&self, name: &str) -> Result<InferenceEngine, Error> {
-        let lane = relock(self.core.lanes.write())
+        let model = relock(self.core.lanes.write())
             .remove(name)
             .ok_or_else(|| Error::UnknownModel {
                 model: name.to_string(),
@@ -1001,7 +739,7 @@ impl Router {
         // A lane still in the table has never been shut down (shutdown_all
         // empties the table first), so this is reachable only if that
         // invariant breaks — degrade to the typed error rather than panic.
-        lane.shutdown().ok_or(Error::ServerClosed)
+        model.lane.shutdown().ok_or(Error::ServerClosed)
     }
 
     /// The registered model names, sorted.
@@ -1012,9 +750,7 @@ impl Router {
 
     /// The sample width model `name` expects, if registered.
     pub fn input_dim(&self, name: &str) -> Option<usize> {
-        relock(self.core.lanes.read())
-            .get(name)
-            .map(|l| l.input_dim)
+        self.core.lane(name).ok().map(|lane| lane.input_dim)
     }
 
     /// A new cloneable client handle for submitting routed requests.
@@ -1100,9 +836,7 @@ impl RouterClient {
 
     /// The sample width model `name` expects, if registered.
     pub fn input_dim(&self, name: &str) -> Option<usize> {
-        relock(self.core.lanes.read())
-            .get(name)
-            .map(|l| l.input_dim)
+        self.core.lane(name).ok().map(|lane| lane.input_dim)
     }
 }
 
@@ -1112,321 +846,10 @@ impl std::fmt::Debug for RouterClient {
     }
 }
 
-/// Pops one flush batch off `pending` in EDF order: up to `max_batch`
-/// live entries, plus every popped entry whose deadline is already past
-/// `now` (returned separately for rejection — expired entries do not
-/// occupy batch slots). Pure, so flush-time expiry is unit-testable
-/// without real timing.
-#[allow(clippy::type_complexity)]
-fn take_flush_batch(
-    pending: &mut EdfQueue<LaneRequest>,
-    max_batch: usize,
-    now: Instant,
-) -> (Vec<EdfItem<LaneRequest>>, Vec<(LaneRequest, Duration)>) {
-    let mut batch = Vec::new();
-    let mut expired = Vec::new();
-    while batch.len() < max_batch {
-        let Some(item) = pending.pop() else { break };
-        match item.deadline {
-            Some(deadline) if deadline <= now => {
-                expired.push((item.value, now - deadline));
-            }
-            _ => batch.push(item),
-        }
-    }
-    (batch, expired)
-}
-
-/// Counts and replies one lane response (the router-side analogue of the
-/// serve module's `respond`, plus the fair-share bookkeeping).
-fn lane_respond(
-    counters: &Counters,
-    fair: &FairShare,
-    fair_id: u64,
-    weight: u64,
-    request: &LaneRequest,
-    outcome: Result<Served, Error>,
-) {
-    counters.served.fetch_add(1, Ordering::Relaxed);
-    counters.depth.fetch_sub(1, Ordering::Relaxed);
-    fair.sub(fair_id, weight);
-    if matches!(
-        outcome,
-        Ok(Served {
-            prediction: Prediction::Abstain { .. },
-            ..
-        })
-    ) {
-        counters.abstained.fetch_add(1, Ordering::Relaxed);
-    }
-    // A dropped ticket just means nobody is listening; serving continues.
-    let _ = request.reply.send(outcome);
-}
-
-/// Serves one popped EDF flush batch through the lane's rack, grouped by
-/// stamped version so every request is served by exactly the engine it
-/// was admitted under (single-version in steady state; split around a
-/// swap boundary).
-#[allow(clippy::too_many_arguments)]
-fn lane_serve_batch(
-    rack: &mut EngineRack,
-    policy: &LanePolicy,
-    batch: Vec<EdfItem<LaneRequest>>,
-    rows: &mut Vec<Complex64>,
-    counters: &Counters,
-    fair: &FairShare,
-    fair_id: u64,
-    weight: u64,
-    flush_seq: u64,
-    now: Instant,
-    share: usize,
-) {
-    let mut batch = batch;
-    while !batch.is_empty() {
-        let version = batch[0].value.version;
-        let (group, rest): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|item| item.value.version == version);
-        batch = rest;
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters
-            .batch_fill
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
-        rows.clear();
-        let mut waits = Vec::with_capacity(group.len());
-        for item in &group {
-            let waited = now.saturating_duration_since(item.value.enqueued_at);
-            counters.waits.record(waited);
-            waits.push(waited);
-            rows.extend_from_slice(&item.value.fields);
-        }
-        let confidence = rack.confidence(policy.confidence);
-        let Some(engine) = rack.engine_for(version) else {
-            // Unreachable by construction (every stamped version has a
-            // rack slot until its last ticket resolves), but never
-            // strand a ticket.
-            for item in &group {
-                lane_respond(
-                    counters,
-                    fair,
-                    fair_id,
-                    weight,
-                    &item.value,
-                    Err(Error::ServerClosed),
-                );
-            }
-            continue;
-        };
-        if engine.num_workers() != share {
-            engine.set_num_workers(share);
-        }
-        let emit = move |logits: &[f64]| decide(confidence, logits);
-        match engine.serve_rows(rows, &emit) {
-            Ok(predictions) => {
-                for ((item, prediction), waited) in group.iter().zip(predictions).zip(waits) {
-                    lane_respond(
-                        counters,
-                        fair,
-                        fair_id,
-                        weight,
-                        &item.value,
-                        Ok(Served {
-                            prediction,
-                            flush_seq,
-                            waited,
-                            version,
-                        }),
-                    );
-                }
-            }
-            Err(_) => {
-                // Isolate the poisoned sample(s), like the single-model
-                // batcher: serve each request on its own.
-                for (item, waited) in group.iter().zip(waits) {
-                    let outcome = engine
-                        .serve_rows(&item.value.fields, &emit)
-                        .map(|mut v| v.remove(0))
-                        .map(|prediction| Served {
-                            prediction,
-                            flush_seq,
-                            waited,
-                            version,
-                        });
-                    lane_respond(counters, fair, fair_id, weight, &item.value, outcome);
-                }
-            }
-        }
-    }
-}
-
-/// The lane batcher thread body: coalesce into an [`EdfQueue`], flush on
-/// `max_batch` / `max_wait` / an imminent deadline, serve in EDF order
-/// through the lane's rack with a fair-share worker count. Swap controls
-/// ride the same channel as requests; when one arrives, everything
-/// admitted before it is flushed first (the micro-batch boundary the
-/// swap is atomic at), then the control applies — or, if the lane began
-/// draining, the swap aborts and its replacement is handed back at exit.
-/// On shutdown, drain to empty so no admitted ticket is lost.
-#[allow(clippy::too_many_arguments)]
-fn lane_batcher(
-    mut rack: EngineRack,
-    rx: mpsc::Receiver<LaneEnvelope>,
-    policy: LanePolicy,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    deadline_missed: Arc<AtomicU64>,
-    fair: Arc<FairShare>,
-    fair_id: u64,
-    weight: u64,
-) -> InferenceEngine {
-    // Lane batchers are resident service threads, like the single-model
-    // server's: claim one slot of the shared worker budget.
-    let _slot = crate::pool::reserve_service_slot();
-    let mut pending: EdfQueue<LaneRequest> = EdfQueue::new();
-    let mut rows: Vec<Complex64> = Vec::new();
-    let mut flush_seq: u64 = 0;
-    loop {
-        let mut control: Option<Control> = None;
-        if pending.is_empty() {
-            // Park for the first envelope of the next batch.
-            let first = loop {
-                if stop.load(Ordering::SeqCst) {
-                    // Draining: serve whatever is still queued, then exit.
-                    break rx.try_recv().ok();
-                }
-                match rx.recv_timeout(IDLE_POLL) {
-                    Ok(e) => break Some(e),
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break None,
-                }
-            };
-            let Some(first) = first else { break };
-            match first {
-                LaneEnvelope::Request(r) => {
-                    let arrived = r.enqueued_at;
-                    pending.push(r.deadline, r.priority, arrived, r);
-                }
-                LaneEnvelope::Control(c) => control = Some(c),
-            }
-        }
-
-        // Coalesce until the batch fills, the oldest request's window
-        // closes, a queued deadline would expire inside the window — an
-        // imminent deadline cuts the window short — or a swap control
-        // arrives. The spin-then-park straggler collection matches the
-        // single-model batcher.
-        const SPIN_WAIT: Duration = Duration::from_micros(256);
-        if let Some(oldest) = pending.oldest_arrival().filter(|_| control.is_none()) {
-            let window_end = oldest + policy.max_wait;
-            let spin_until = Instant::now() + SPIN_WAIT.min(policy.max_wait);
-            'coalesce: loop {
-                // Drain the whole backlog, not just enough to fill one
-                // batch: flush membership must be decided by the EDF
-                // queue, not by arrival order. A request left in the
-                // channel is invisible to `take_flush_batch` and would
-                // make batch composition FIFO.
-                loop {
-                    match rx.try_recv() {
-                        Ok(LaneEnvelope::Request(r)) => {
-                            let arrived = r.enqueued_at;
-                            pending.push(r.deadline, r.priority, arrived, r);
-                        }
-                        Ok(LaneEnvelope::Control(c)) => {
-                            control = Some(c);
-                            break 'coalesce;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                if pending.len() >= policy.max_batch || stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= window_end {
-                    break;
-                }
-                if pending.earliest_deadline().is_some_and(|d| d <= window_end) {
-                    break;
-                }
-                if now < spin_until {
-                    thread::yield_now();
-                } else {
-                    let nap = (window_end - now).min(IDLE_POLL);
-                    match rx.recv_timeout(nap) {
-                        Ok(LaneEnvelope::Request(r)) => {
-                            let arrived = r.enqueued_at;
-                            pending.push(r.deadline, r.priority, arrived, r);
-                        }
-                        Ok(LaneEnvelope::Control(c)) => {
-                            control = Some(c);
-                            break 'coalesce;
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {}
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-        }
-
-        // Flush: pop in EDF order, reject what already expired, serve
-        // the rest with this lane's fair share of the worker budget.
-        // With a control in hand, flush *everything* admitted before it
-        // (possibly several batches) — the FIFO channel guarantees every
-        // old-version request precedes the control, so after this loop
-        // no request still needs the engine the control may retire.
-        loop {
-            let now = Instant::now();
-            let (batch, expired) = take_flush_batch(&mut pending, policy.max_batch, now);
-            for (request, missed_by) in expired {
-                deadline_missed.fetch_add(1, Ordering::Relaxed);
-                counters.waits.record(now - request.enqueued_at);
-                lane_respond(
-                    &counters,
-                    &fair,
-                    fair_id,
-                    weight,
-                    &request,
-                    Err(Error::DeadlineExceeded { missed_by }),
-                );
-            }
-            // A flush in which *every* popped request had expired leaves
-            // an empty batch: skip it entirely — no `batches` increment,
-            // no zero-sample engine call, no flush sequence number spent.
-            if !batch.is_empty() {
-                flush_seq += 1;
-                let share = fair.share_for(fair_id, crate::pool::jobs());
-                lane_serve_batch(
-                    &mut rack, &policy, batch, &mut rows, &counters, &fair, fair_id, weight,
-                    flush_seq, now, share,
-                );
-            }
-            if control.is_none() || pending.is_empty() {
-                break;
-            }
-        }
-        if let Some(c) = control {
-            rack.apply(c, stop.load(Ordering::SeqCst), &counters);
-        }
-    }
-    fair.deregister(fair_id);
-    rack.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lane_request(deadline: Option<Instant>) -> LaneRequest {
-        let (reply, _rx) = mpsc::channel();
-        LaneRequest {
-            fields: Vec::new(),
-            reply,
-            enqueued_at: Instant::now(),
-            deadline,
-            priority: Priority::Standard,
-            version: 1,
-        }
-    }
+    use crate::lane::{fair_shares, take_flush_batch};
 
     #[test]
     fn edf_orders_by_deadline_then_priority_then_arrival() {
@@ -1475,16 +898,11 @@ mod tests {
         // Three expired (deadline at or before `now`), two live.
         for i in 0..3 {
             let dl = now - Duration::from_millis(5 + i);
-            pending.push(Some(dl), Priority::Standard, now, lane_request(Some(dl)));
+            pending.push(Some(dl), Priority::Standard, now, dl);
         }
         let live = now + Duration::from_secs(60);
         for _ in 0..2 {
-            pending.push(
-                Some(live),
-                Priority::Standard,
-                now,
-                lane_request(Some(live)),
-            );
+            pending.push(Some(live), Priority::Standard, now, live);
         }
         let (batch, expired) = take_flush_batch(&mut pending, 2, now);
         assert_eq!(expired.len(), 3, "expired entries are popped eagerly");

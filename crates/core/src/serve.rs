@@ -15,17 +15,25 @@
 //!   Ticket::wait() ◀── per-request reply ─└───────────────┘
 //! ```
 //!
+//! A [`Server`] is a façade over one serving lane — the same lane core
+//! (admission, coalescing batcher, version-grouped serve step) that backs
+//! every model of a [`crate::router::Router`]. Its requests carry no
+//! deadline and one priority, so the lane's pending set is plain
+//! arrival-order FIFO, and it never resizes the engine's worker count
+//! ([`ServerBuilder::workers`] decides it).
+//!
 //! * A [`Server`] owns a deployed model (its [`InferenceEngine`]) and a
 //!   **bounded** request queue; the queue bound is the backpressure
 //!   contract — [`Client::submit`] blocks while the queue is full and
 //!   [`Client::try_submit`] returns [`Error::QueueFull`] instead.
-//! * A dedicated **batcher thread** drains the queue into micro-batches,
-//!   flushing on whichever comes first: the batch reaching
-//!   [`ServerBuilder::max_batch`] samples, or the oldest queued request
-//!   waiting [`ServerBuilder::max_wait`]. Each flush stages the samples
-//!   into one contiguous buffer and drives the engine's borrowed-batch
-//!   entry point ([`InferenceEngine::classify_rows`]' generic form) — no
-//!   per-request tensor copies. The batcher holds a
+//! * A dedicated **batcher thread** moves requests from the queue into its
+//!   pending set (at most [`ServerBuilder::queue_cap`] of them) and
+//!   flushes micro-batches on whichever comes first: the batch reaching
+//!   [`ServerBuilder::max_batch`] samples, or the oldest pending request
+//!   having waited [`ServerBuilder::max_wait`] since admission. Each flush
+//!   stages the samples into one contiguous buffer and drives the engine's
+//!   borrowed-batch entry point ([`InferenceEngine::classify_rows`]'
+//!   generic form) — no per-request tensor copies. The batcher holds a
 //!   [`crate::pool::ServiceSlot`], so its thread draws from the shared
 //!   `--jobs` budget like every other worker in the process.
 //! * Clients hold a cheap, cloneable [`Client`] handle. `submit` returns
@@ -72,36 +80,19 @@
 //! the workspace's std-only stance.
 
 use crate::deploy::ChipReport;
-use crate::engine::{argmax, Confidence, InferenceEngine};
+use crate::engine::{Confidence, InferenceEngine};
 use crate::error::Error;
+use crate::lane::{self, relock, CanaryCounters, Lane};
+use crate::router::{Priority, RouterTicket};
 use oplix_linalg::Complex64;
 use oplix_nn::ctensor::CTensor;
 use oplix_nn::network::Network;
 use oplix_photonics::svd_map::MeshStyle;
 use oplix_photonics::PhaseDrift;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use crate::deploy::DeployedDetection;
-
-/// How often the idle batcher wakes to check the shutdown flag. Purely a
-/// shutdown-latency knob: while requests flow, the batcher blocks on the
-/// queue (or the batch deadline) instead.
-const IDLE_POLL: Duration = Duration::from_millis(1);
-
-/// Recovers the guard from a possibly poisoned lock.
-///
-/// A poisoned lock means a *different* thread panicked while holding it.
-/// Every lock on the serving tier guards state that is updated atomically
-/// with respect to the guard (a version counter, a lane table, a tally
-/// snapshot), so the value inside stays consistent even if a sibling
-/// thread died elsewhere — and the panic policy forbids converting that
-/// thread's crash into this one's. Take the guard and keep serving.
-pub(crate) fn relock<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// The response a served request resolves to.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -130,228 +121,6 @@ impl Prediction {
     /// Whether the server abstained on this sample.
     pub fn is_abstain(&self) -> bool {
         matches!(self, Prediction::Abstain { .. })
-    }
-}
-
-/// One queued request: the staged sample plus its reply channel, the
-/// admission timestamp the wait-time stats are measured from, the serving
-/// version stamped at admission, and an optional ground-truth label for
-/// online (canary) accuracy tallies.
-pub(crate) struct Request {
-    fields: Vec<Complex64>,
-    label: Option<usize>,
-    version: u64,
-    reply: mpsc::Sender<Result<Prediction, Error>>,
-    enqueued_at: Instant,
-}
-
-/// What flows through a server (or router lane) queue: data requests
-/// interleaved with version-change controls. Because the queue is FIFO
-/// and controls are published under the version gate's write lock, a
-/// control is popped *after* every request stamped with the old version
-/// and *before* every request stamped with the new one.
-pub(crate) enum Envelope {
-    Request(Request),
-    Control(Control),
-}
-
-/// A version-change command riding the data queue. Shared with the
-/// router tier (lanes use the [`Control::Swap`] variant).
-pub(crate) enum Control {
-    /// Replace the current engine with `engine`, serving as `version`
-    /// from this micro-batch boundary on.
-    Swap {
-        engine: Box<InferenceEngine>,
-        version: u64,
-        reply: mpsc::Sender<Result<SwapOutcome, Error>>,
-    },
-    /// Stage `engine` as the canary candidate for `version`; admissions
-    /// stamped with `version` serve through it while tallies accumulate.
-    Canary {
-        engine: Box<InferenceEngine>,
-        version: u64,
-        confidence: Option<Confidence>,
-        tallies: Arc<CanaryCounters>,
-    },
-    /// Retire the baseline and make the canary candidate current.
-    Promote {
-        reply: mpsc::Sender<Result<SwapOutcome, Error>>,
-    },
-    /// Discard the canary candidate; the baseline keeps the lane.
-    Rollback {
-        reply: mpsc::Sender<Result<SwapOutcome, Error>>,
-    },
-}
-
-/// The live canary split, as the admission side sees it.
-pub(crate) struct CanarySplit {
-    version: u64,
-    fraction: f64,
-    drawn: AtomicU64,
-    seed: u64,
-    tallies: Arc<CanaryCounters>,
-}
-
-/// The version gate's guarded state: the current serving version and the
-/// live canary split, if one is staged.
-pub(crate) struct GateState {
-    pub(crate) current: u64,
-    pub(crate) canary: Option<CanarySplit>,
-}
-
-/// The admission-side version barrier. Every submission stamps its
-/// version and sends under the read lock; every version change (swap,
-/// canary start, promote, rollback) mutates the state and publishes its
-/// control message under the write lock. FIFO queue order therefore
-/// equals version order: the batcher never sees an old-version request
-/// after the control that retires that version, which is what makes the
-/// switch atomic at a micro-batch boundary.
-pub(crate) struct VersionGate {
-    state: RwLock<GateState>,
-    /// Lock-free mirror of `state.current` for stats snapshots.
-    current: AtomicU64,
-}
-
-/// Hashes (seed, draw index) to a uniform value in `[0, 1)` — the
-/// deterministic admission split of a canary. SplitMix64 finalizer over a
-/// golden-ratio sequence: replaying the same seed over the same draw
-/// indices reproduces the exact partition.
-fn split_unit(seed: u64, n: u64) -> f64 {
-    let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-impl VersionGate {
-    pub(crate) fn new() -> Self {
-        VersionGate {
-            state: RwLock::new(GateState {
-                current: 1,
-                canary: None,
-            }),
-            current: AtomicU64::new(1),
-        }
-    }
-
-    /// The current serving version (the canary candidate, while staged,
-    /// is `version() + 1`).
-    pub(crate) fn version(&self) -> u64 {
-        self.current.load(Ordering::Relaxed)
-    }
-
-    /// Stamps one admission and runs `send` under the read gate, so no
-    /// version barrier can land between the stamp and the queue send.
-    /// Returns the stamped version on a successful send.
-    pub(crate) fn admit<E>(&self, send: impl FnOnce(u64) -> Result<(), E>) -> Result<u64, E> {
-        let state = relock(self.state.read());
-        let version = match &state.canary {
-            Some(c) => {
-                let n = c.drawn.fetch_add(1, Ordering::Relaxed);
-                if split_unit(c.seed, n) < c.fraction {
-                    c.version
-                } else {
-                    state.current
-                }
-            }
-            None => state.current,
-        };
-        send(version)?;
-        if let Some(c) = &state.canary {
-            if let Some(slot) = c.tallies.slot(version) {
-                slot.routed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(version)
-    }
-
-    /// Runs a version barrier: `f` mutates the gate state and publishes
-    /// its control message while every admission is excluded.
-    pub(crate) fn barrier<T>(
-        &self,
-        f: impl FnOnce(&mut GateState) -> Result<T, Error>,
-    ) -> Result<T, Error> {
-        let mut state = relock(self.state.write());
-        let out = f(&mut state)?;
-        self.current.store(state.current, Ordering::Relaxed);
-        Ok(out)
-    }
-}
-
-/// One version's atomic tally slots during a canary.
-pub(crate) struct VersionTallyCounters {
-    version: u64,
-    routed: AtomicU64,
-    served: AtomicU64,
-    accepted: AtomicU64,
-    abstained: AtomicU64,
-    labeled: AtomicU64,
-    correct: AtomicU64,
-}
-
-impl VersionTallyCounters {
-    fn new(version: u64) -> Self {
-        VersionTallyCounters {
-            version,
-            routed: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            abstained: AtomicU64::new(0),
-            labeled: AtomicU64::new(0),
-            correct: AtomicU64::new(0),
-        }
-    }
-
-    fn snapshot(&self) -> VersionTally {
-        VersionTally {
-            version: self.version,
-            routed: self.routed.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            abstained: self.abstained.load(Ordering::Relaxed),
-            labeled: self.labeled.load(Ordering::Relaxed),
-            correct: self.correct.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The shared accumulator of one canary run: a tally slot per version
-/// plus the split parameters, so a snapshot is self-describing.
-pub(crate) struct CanaryCounters {
-    fraction: f64,
-    seed: u64,
-    baseline: VersionTallyCounters,
-    candidate: VersionTallyCounters,
-}
-
-impl CanaryCounters {
-    fn new(baseline: u64, candidate: u64, fraction: f64, seed: u64) -> Self {
-        CanaryCounters {
-            fraction,
-            seed,
-            baseline: VersionTallyCounters::new(baseline),
-            candidate: VersionTallyCounters::new(candidate),
-        }
-    }
-
-    fn slot(&self, version: u64) -> Option<&VersionTallyCounters> {
-        if version == self.baseline.version {
-            Some(&self.baseline)
-        } else if version == self.candidate.version {
-            Some(&self.candidate)
-        } else {
-            None
-        }
-    }
-
-    fn snapshot(&self) -> CanaryStats {
-        CanaryStats {
-            fraction: self.fraction,
-            seed: self.seed,
-            baseline: self.baseline.snapshot(),
-            candidate: self.candidate.snapshot(),
-        }
     }
 }
 
@@ -551,127 +320,6 @@ impl SwapTicket {
     }
 }
 
-/// Log₂-bucketed wait-time tracker: each admitted request's queue wait
-/// (admission → flush) lands in the bucket of its nanosecond count's bit
-/// length, so the whole distribution is a fixed array of relaxed atomic
-/// counters — recordable from the batcher's hot path without locks, and
-/// cheap enough that the single-model [`Server`] and every router lane
-/// carry one. Quantiles come back as the upper bound of the bucket the
-/// cumulative count crosses (≤ 2× the true value, which is plenty for
-/// p50/p99 SLO reporting).
-pub(crate) struct WaitTracker {
-    max_nanos: AtomicU64,
-    buckets: [AtomicU64; 65],
-}
-
-impl Default for WaitTracker {
-    fn default() -> Self {
-        WaitTracker {
-            max_nanos: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl WaitTracker {
-    pub(crate) fn record(&self, wait: Duration) {
-        let nanos = wait.as_nanos().min(u64::MAX as u128) as u64;
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-        // Bucket i holds waits whose nanosecond count has bit length i,
-        // i.e. [2^(i-1), 2^i); bucket 0 is a zero-length wait and the top
-        // bucket (i = 64) waits of 2^63 ns and beyond.
-        let bucket = (u64::BITS - nanos.leading_zeros()) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The longest wait observed since construction.
-    pub(crate) fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_nanos.load(Ordering::Relaxed))
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) of recorded waits, as the upper bound
-    /// of the bucket the cumulative count crosses; zero when nothing has
-    /// been recorded yet.
-    pub(crate) fn quantile(&self, q: f64) -> Duration {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Upper bound of bucket i: 2^i − 1 nanoseconds (saturating
-                // on the top bucket), capped by the true observed maximum.
-                let bound = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
-                return Duration::from_nanos(bound).min(self.max());
-            }
-        }
-        self.max()
-    }
-}
-
-/// Process-lifetime counters shared by the server handle, its clients and
-/// the batcher thread. Also the per-lane counters of the
-/// [`crate::router`] tier — the router and the single-model server
-/// report through this one shape.
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) served: AtomicU64,
-    pub(crate) abstained: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batch_fill: AtomicU64,
-    /// Requests admitted but not yet answered (queued or in flight).
-    pub(crate) depth: AtomicU64,
-    /// Version changes the batcher has applied (swaps and promotes).
-    pub(crate) swaps: AtomicU64,
-    pub(crate) waits: WaitTracker,
-    /// Chip reports of the serving version, published by its
-    /// [`EngineRack`] at launch and whenever a swap or promote replaces
-    /// the serving engine.
-    pub(crate) chip_reports: Mutex<Vec<ChipReport>>,
-}
-
-impl Counters {
-    /// Records a successful admission.
-    pub(crate) fn admitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the chip reports of a newly serving engine for every
-    /// later [`Counters::snapshot`].
-    pub(crate) fn publish_chip_reports(&self, engine: &InferenceEngine) {
-        *relock(self.chip_reports.lock()) = engine.deployed().chip_reports();
-    }
-
-    /// Snapshot of the counters in the public stats shape; the serving
-    /// version lives on the gate, so the caller supplies it.
-    pub(crate) fn snapshot(&self, version: u64) -> ServerStats {
-        ServerStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            abstained: self.abstained.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_samples: self.batch_fill.load(Ordering::Relaxed),
-            queue_depth: self.depth.load(Ordering::Relaxed),
-            version,
-            swaps: self.swaps.load(Ordering::Relaxed),
-            max_wait_observed: self.waits.max(),
-            chip_reports: relock(self.chip_reports.lock()).clone(),
-        }
-    }
-}
-
 /// A snapshot of a [`Server`]'s counters. The router tier reports its
 /// per-model lanes through this same shape (see
 /// [`crate::router::ModelStats`]).
@@ -720,57 +368,39 @@ impl ServerStats {
     }
 }
 
-/// The batcher's flush policy plus the optional confidence policy.
-struct BatchPolicy {
-    max_batch: usize,
-    max_wait: Duration,
-    confidence: Option<Confidence>,
-}
-
 /// Configures and launches a [`Server`]; see [`Server::builder`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServerBuilder {
-    max_batch: usize,
-    max_wait: Duration,
-    queue_cap: usize,
+    policy: lane::Policy,
     workers: Option<usize>,
-    confidence: Option<Confidence>,
     drift: Option<PhaseDrift>,
-}
-
-impl Default for ServerBuilder {
-    fn default() -> Self {
-        ServerBuilder {
-            max_batch: 64,
-            max_wait: Duration::from_millis(1),
-            queue_cap: 1024,
-            workers: None,
-            confidence: None,
-            drift: None,
-        }
-    }
 }
 
 impl ServerBuilder {
     /// Flush a micro-batch once it holds this many samples (clamped to
     /// ≥ 1; default 64, one engine serving window).
     pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n.max(1);
+        self.policy.max_batch = n.max(1);
         self
     }
 
     /// Flush a micro-batch once its oldest request has waited this long
-    /// (default 1 ms; clamped to ≤ 1 h so deadlines never overflow).
+    /// since admission (default 1 ms; clamped to ≤ 1 h so deadlines never
+    /// overflow).
     pub fn max_wait(mut self, d: Duration) -> Self {
-        self.max_wait = d.min(Duration::from_secs(3600));
+        self.policy.max_wait = d.min(Duration::from_secs(3600));
         self
     }
 
     /// Bound of the admission queue (clamped to ≥ 1; default 1024).
     /// [`Client::submit`] blocks while the queue holds this many pending
-    /// requests; [`Client::try_submit`] returns [`Error::QueueFull`].
+    /// requests; [`Client::try_submit`] returns [`Error::QueueFull`]. The
+    /// batcher takes requests off the queue only while its own pending
+    /// set holds fewer than this many, so admitted-but-unanswered
+    /// requests ([`ServerStats::queue_depth`]) never exceed twice the
+    /// bound.
     pub fn queue_cap(mut self, n: usize) -> Self {
-        self.queue_cap = n.max(1);
+        self.policy.queue_cap = n.max(1);
         self
     }
 
@@ -787,7 +417,7 @@ impl ServerBuilder {
     /// samples resolve to [`Prediction::Abstain`] and are counted in
     /// [`ServerStats::abstained`].
     pub fn confidence(mut self, c: Confidence) -> Self {
-        self.confidence = Some(c);
+        self.policy.confidence = Some(c);
         self
     }
 
@@ -808,35 +438,9 @@ impl ServerBuilder {
         if let Some(w) = self.workers {
             engine.set_num_workers(w);
         }
-        let input_dim = engine.input_dim();
-        let (tx, rx) = mpsc::sync_channel::<Envelope>(self.queue_cap);
-        let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
-        let gate = Arc::new(VersionGate::new());
-        let policy = BatchPolicy {
-            max_batch: self.max_batch,
-            max_wait: self.max_wait,
-            confidence: self.confidence,
-        };
-        let drift = self.drift;
-        let rack = EngineRack::new(engine, &counters);
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            thread::Builder::new()
-                .name("oplix-serve".into())
-                .spawn(move || batcher(rack, rx, policy, stop, counters, drift))
-                .expect("failed to spawn the serve batcher thread")
-        };
         Server {
-            tx: Some(tx),
-            stop,
-            counters,
-            gate,
+            lane: Lane::spawn("oplix-serve".into(), engine, self.policy, None, self.drift),
             last_canary: Mutex::new(None),
-            input_dim,
-            queue_cap: self.queue_cap,
-            handle: Some(handle),
         }
     }
 
@@ -891,16 +495,10 @@ impl ServerBuilder {
 /// assert_eq!(engine.stats().samples, 1);
 /// ```
 pub struct Server {
-    tx: Option<mpsc::SyncSender<Envelope>>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    gate: Arc<VersionGate>,
+    lane: Arc<Lane>,
     /// The live (or most recent) canary accumulator, for
     /// [`Server::canary_stats`].
     last_canary: Mutex<Option<Arc<CanaryCounters>>>,
-    input_dim: usize,
-    queue_cap: usize,
-    handle: Option<thread::JoinHandle<InferenceEngine>>,
 }
 
 impl Server {
@@ -913,50 +511,23 @@ impl Server {
     /// A new cloneable client handle onto this server's queue.
     pub fn client(&self) -> Client {
         Client {
-            tx: self
-                .tx
-                .as_ref()
-                .expect("server handle outlives shutdown")
-                .clone(),
-            stop: Arc::clone(&self.stop),
-            counters: Arc::clone(&self.counters),
-            gate: Arc::clone(&self.gate),
-            input_dim: self.input_dim,
-            queue_cap: self.queue_cap,
+            lane: Arc::clone(&self.lane),
         }
     }
 
     /// The complex fan-in every submitted sample must have.
     pub fn input_dim(&self) -> usize {
-        self.input_dim
+        self.lane.input_dim
     }
 
     /// The deployment version new admissions are stamped with.
     pub fn version(&self) -> u64 {
-        self.gate.version()
+        self.lane.version()
     }
 
     /// A snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
-        self.counters.snapshot(self.gate.version())
-    }
-
-    /// Checks a candidate engine against the serving geometry and the
-    /// server's liveness — shared by every version-change entry point.
-    fn check_candidate(&self, input_dim: usize) -> Result<&mpsc::SyncSender<Envelope>, Error> {
-        if input_dim != self.input_dim {
-            return Err(Error::ShapeMismatch {
-                expected: self.input_dim,
-                got: input_dim,
-                what: "candidate input width",
-            });
-        }
-        if self.stop.load(Ordering::SeqCst) {
-            return Err(Error::ServerClosed);
-        }
-        // `tx` is only vacated by `shutdown`, which also raises `stop`
-        // first — but degrade to the typed error rather than asserting it.
-        self.tx.as_ref().ok_or(Error::ServerClosed)
+        self.lane.stats()
     }
 
     /// Hot-swaps the server to a new deployment with zero downtime. The
@@ -1023,22 +594,7 @@ impl Server {
     /// assert!(before.wait().is_ok() && after.wait().is_ok());
     /// ```
     pub fn swap(&self, engine: InferenceEngine) -> Result<SwapTicket, Error> {
-        let tx = self.check_candidate(engine.input_dim())?;
-        self.gate.barrier(|state| {
-            if state.canary.is_some() {
-                return Err(Error::CanaryActive);
-            }
-            let version = state.current + 1;
-            let (reply, rx) = mpsc::channel();
-            tx.send(Envelope::Control(Control::Swap {
-                engine: Box::new(engine),
-                version,
-                reply,
-            }))
-            .map_err(|_| Error::ServerClosed)?;
-            state.current = version;
-            Ok(SwapTicket { rx })
-        })
+        self.lane.swap(engine)
     }
 
     /// [`Server::swap`] from a trained network: deploys it through the
@@ -1072,36 +628,9 @@ impl Server {
     /// candidate is dropped on this error), [`Error::ServerClosed`] after
     /// shutdown.
     pub fn canary(&self, engine: InferenceEngine, policy: CanaryPolicy) -> Result<(), Error> {
-        let tx = self.check_candidate(engine.input_dim())?;
-        let fraction = policy.fraction.clamp(0.0, 1.0);
-        self.gate.barrier(|state| {
-            if state.canary.is_some() {
-                return Err(Error::CanaryActive);
-            }
-            let version = state.current + 1;
-            let tallies = Arc::new(CanaryCounters::new(
-                state.current,
-                version,
-                fraction,
-                policy.seed,
-            ));
-            tx.send(Envelope::Control(Control::Canary {
-                engine: Box::new(engine),
-                version,
-                confidence: policy.confidence,
-                tallies: Arc::clone(&tallies),
-            }))
-            .map_err(|_| Error::ServerClosed)?;
-            state.canary = Some(CanarySplit {
-                version,
-                fraction,
-                drawn: AtomicU64::new(0),
-                seed: policy.seed,
-                tallies: Arc::clone(&tallies),
-            });
-            *relock(self.last_canary.lock()) = Some(tallies);
-            Ok(())
-        })
+        let tallies = self.lane.canary(engine, policy)?;
+        *relock(self.last_canary.lock()) = Some(tallies);
+        Ok(())
     }
 
     /// [`Server::canary`] from a trained network (deployed through the
@@ -1136,7 +665,7 @@ impl Server {
     /// [`Error::NoCanary`] if no canary is live, [`Error::ServerClosed`]
     /// after shutdown.
     pub fn promote(&self) -> Result<SwapTicket, Error> {
-        self.decide_canary(true)
+        self.lane.decide_canary(true)
     }
 
     /// Ends the canary in the baseline's favor: the candidate stops
@@ -1149,34 +678,7 @@ impl Server {
     /// [`Error::NoCanary`] if no canary is live, [`Error::ServerClosed`]
     /// after shutdown.
     pub fn rollback(&self) -> Result<SwapTicket, Error> {
-        self.decide_canary(false)
-    }
-
-    fn decide_canary(&self, promote: bool) -> Result<SwapTicket, Error> {
-        if self.stop.load(Ordering::SeqCst) {
-            return Err(Error::ServerClosed);
-        }
-        let tx = self.tx.as_ref().ok_or(Error::ServerClosed)?;
-        self.gate.barrier(|state| {
-            let Some(canary) = state.canary.take() else {
-                return Err(Error::NoCanary);
-            };
-            let (reply, rx) = mpsc::channel();
-            let control = if promote {
-                Control::Promote { reply }
-            } else {
-                Control::Rollback { reply }
-            };
-            tx.send(Envelope::Control(control)).map_err(|_| {
-                // The send failing means the batcher is gone; the canary
-                // split is already cleared either way.
-                Error::ServerClosed
-            })?;
-            if promote {
-                state.current = canary.version;
-            }
-            Ok(SwapTicket { rx })
-        })
+        self.lane.decide_canary(false)
     }
 
     /// Tallies of the live canary run, or the most recent one if it has
@@ -1191,17 +693,10 @@ impl Server {
     /// every request already in the queue is served (their tickets
     /// resolve normally), and the batcher thread exits. Submissions
     /// racing the shutdown resolve to [`Error::ServerClosed`]; none hang.
-    pub fn shutdown(mut self) -> InferenceEngine {
-        self.shutdown_inner()
+    pub fn shutdown(self) -> InferenceEngine {
+        self.lane
+            .shutdown()
             .expect("first shutdown of a live server")
-    }
-
-    fn shutdown_inner(&mut self) -> Option<InferenceEngine> {
-        self.stop.store(true, Ordering::SeqCst);
-        drop(self.tx.take());
-        self.handle
-            .take()
-            .map(|h| h.join().expect("serve batcher thread panicked"))
     }
 }
 
@@ -1209,15 +704,15 @@ impl Drop for Server {
     /// Dropping the handle shuts the server down (draining, like
     /// [`Server::shutdown`]) and discards the engine.
     fn drop(&mut self) {
-        let _ = self.shutdown_inner();
+        let _ = self.lane.shutdown();
     }
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("input_dim", &self.input_dim)
-            .field("queue_cap", &self.queue_cap)
+            .field("input_dim", &self.lane.input_dim)
+            .field("queue_cap", &self.lane.queue_cap())
             .field("stats", &self.stats())
             .finish()
     }
@@ -1252,18 +747,13 @@ impl std::fmt::Debug for Server {
 /// ```
 #[derive(Clone)]
 pub struct Client {
-    tx: mpsc::SyncSender<Envelope>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    gate: Arc<VersionGate>,
-    input_dim: usize,
-    queue_cap: usize,
+    lane: Arc<Lane>,
 }
 
 impl Client {
     /// The complex fan-in every submitted sample must have.
     pub fn input_dim(&self) -> usize {
-        self.input_dim
+        self.lane.input_dim
     }
 
     fn submit_inner(
@@ -1272,55 +762,13 @@ impl Client {
         label: Option<usize>,
         blocking: bool,
     ) -> Result<Ticket, Error> {
-        if fields.len() != self.input_dim {
-            return Err(Error::ShapeMismatch {
-                expected: self.input_dim,
-                got: fields.len(),
-                what: "sample width",
-            });
-        }
-        if self.stop.load(Ordering::SeqCst) {
-            return Err(Error::ServerClosed);
-        }
-        let (reply, rx) = mpsc::channel();
-        let enqueued_at = Instant::now();
-        // Stamp + send under the version gate's read side, so no swap
-        // barrier can land between the stamp and the queue send.
-        let sent = self.gate.admit(|version| {
-            let request = Envelope::Request(Request {
-                fields,
-                label,
-                version,
-                reply,
-                enqueued_at,
-            });
-            if blocking {
-                self.tx.send(request).map_err(|_| Error::ServerClosed)
-            } else {
-                self.tx.try_send(request).map_err(|e| match e {
-                    mpsc::TrySendError::Full(_) => Error::QueueFull {
-                        capacity: self.queue_cap,
-                    },
-                    mpsc::TrySendError::Disconnected(_) => Error::ServerClosed,
-                })
-            }
-        });
-        match sent {
-            Ok(version) => {
-                self.counters.admitted();
-                Ok(Ticket {
-                    rx,
-                    done: None,
-                    version,
-                })
-            }
-            Err(e) => {
-                if matches!(e, Error::QueueFull { .. }) {
-                    self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
+        let (version, rx) = self
+            .lane
+            .submit(fields, label, None, Priority::default(), blocking)?;
+        Ok(Ticket {
+            inner: RouterTicket { rx, done: None },
+            version,
+        })
     }
 
     /// Submits one sample, blocking while the queue is at capacity
@@ -1365,8 +813,8 @@ impl Client {
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
-            .field("input_dim", &self.input_dim)
-            .field("queue_cap", &self.queue_cap)
+            .field("input_dim", &self.lane.input_dim)
+            .field("queue_cap", &self.lane.queue_cap())
             .finish()
     }
 }
@@ -1402,8 +850,7 @@ impl std::fmt::Debug for Client {
 /// ```
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<Result<Prediction, Error>>,
-    done: Option<Result<Prediction, Error>>,
+    inner: RouterTicket,
     version: u64,
 }
 
@@ -1424,25 +871,16 @@ impl Ticket {
     ///
     /// [`Error::NonFiniteLogits`] if the sample poisoned detection,
     /// [`Error::ServerClosed`] as above.
-    pub fn wait(mut self) -> Result<Prediction, Error> {
-        if let Some(done) = self.done.take() {
-            return done;
-        }
-        self.rx.recv().unwrap_or(Err(Error::ServerClosed))
+    pub fn wait(self) -> Result<Prediction, Error> {
+        self.inner.wait().map(|served| served.prediction)
     }
 
     /// Non-blocking poll: `None` while the sample is still queued or in
     /// flight, `Some(result)` once served (repeat calls keep returning
     /// the same result).
     pub fn try_wait(&mut self) -> Option<Result<Prediction, Error>> {
-        if self.done.is_none() {
-            match self.rx.try_recv() {
-                Ok(done) => self.done = Some(done),
-                Err(mpsc::TryRecvError::Empty) => {}
-                Err(mpsc::TryRecvError::Disconnected) => self.done = Some(Err(Error::ServerClosed)),
-            }
-        }
-        self.done.clone()
+        let done = self.inner.try_wait()?;
+        Some(done.map(|served| served.prediction))
     }
 }
 
@@ -1461,418 +899,10 @@ pub fn sample_row(inputs: &CTensor, row: usize) -> Vec<Complex64> {
         .collect()
 }
 
-/// Turns one logit row into the response under the optional confidence
-/// policy. Shared with the router tier so routed and direct serving apply
-/// one abstention rule.
-pub(crate) fn decide(confidence: Option<Confidence>, logits: &[f64]) -> Prediction {
-    match confidence {
-        None => Prediction::Class(argmax(logits)),
-        Some(c) => {
-            let (best, score) = c.score(logits);
-            if score >= c.threshold {
-                Prediction::Class(best)
-            } else {
-                Prediction::Abstain {
-                    best,
-                    confidence: score,
-                }
-            }
-        }
-    }
-}
-
-/// The batcher-side view of the versioned deployment: which engine serves
-/// which version, plus canary bookkeeping. Mutated **only** by the batcher
-/// thread, by applying [`Control`] messages popped from the same FIFO the
-/// requests ride — so the rack's version history is exactly the admission
-/// order's version history.
-pub(crate) struct EngineRack {
-    current_version: u64,
-    current: InferenceEngine,
-    /// A live canary candidate, keyed by the version it would become.
-    candidate: Option<(u64, InferenceEngine)>,
-    /// Confidence policy override while a canary is live (applied to both
-    /// versions, so accept/abstain tallies compare like with like).
-    confidence_override: Option<Confidence>,
-    tallies: Option<Arc<CanaryCounters>>,
-    /// Replacements from swaps that arrived while draining: they never
-    /// became current, but version-stamped stragglers already admitted
-    /// against them may still be queued, so they serve those and are
-    /// handed back (`SwapOutcome::Aborted`) at batcher exit.
-    aborted: Vec<(
-        u64,
-        InferenceEngine,
-        mpsc::Sender<Result<SwapOutcome, Error>>,
-    )>,
-}
-
-impl EngineRack {
-    /// A rack serving `engine` as version 1; its chip reports are
-    /// published into `counters` before the batcher starts, so stats
-    /// carry them from launch on.
-    pub(crate) fn new(engine: InferenceEngine, counters: &Counters) -> Self {
-        counters.publish_chip_reports(&engine);
-        EngineRack {
-            current_version: 1,
-            current: engine,
-            candidate: None,
-            confidence_override: None,
-            tallies: None,
-            aborted: Vec::new(),
-        }
-    }
-
-    /// The engine that must serve a request admitted under `version`.
-    pub(crate) fn engine_for(&mut self, version: u64) -> Option<&mut InferenceEngine> {
-        if version == self.current_version {
-            return Some(&mut self.current);
-        }
-        if let Some((v, engine)) = self.candidate.as_mut() {
-            if *v == version {
-                return Some(engine);
-            }
-        }
-        self.aborted
-            .iter_mut()
-            .find(|(v, _, _)| *v == version)
-            .map(|(_, engine, _)| engine)
-    }
-
-    /// The confidence policy in force: the canary override if one is
-    /// live, else the server's configured policy.
-    pub(crate) fn confidence(&self, base: Option<Confidence>) -> Option<Confidence> {
-        self.confidence_override.or(base)
-    }
-
-    /// Makes `engine` the serving version and publishes its chip
-    /// reports (before the caller replies, so a resolved swap ticket
-    /// implies fresh stats); returns the engine it retired.
-    fn install(
-        &mut self,
-        engine: InferenceEngine,
-        version: u64,
-        counters: &Counters,
-    ) -> InferenceEngine {
-        counters.publish_chip_reports(&engine);
-        self.current_version = version;
-        counters.swaps.fetch_add(1, Ordering::Relaxed);
-        std::mem::replace(&mut self.current, engine)
-    }
-
-    /// Applies one control message at its FIFO position. `draining` is
-    /// the stop flag **at apply time**: a swap that lands after shutdown
-    /// began must not replace the engine the server hands back, so it
-    /// parks in the aborted list instead.
-    pub(crate) fn apply(&mut self, control: Control, draining: bool, counters: &Counters) {
-        match control {
-            Control::Swap {
-                engine,
-                version,
-                reply,
-            } => {
-                if draining {
-                    self.aborted.push((version, *engine, reply));
-                } else {
-                    let retired = self.install(*engine, version, counters);
-                    let _ = reply.send(Ok(SwapOutcome::Applied { retired, version }));
-                }
-            }
-            Control::Canary {
-                engine,
-                version,
-                confidence,
-                tallies,
-            } => {
-                // Always installed, even while draining: requests stamped
-                // with the candidate version may sit behind this control.
-                self.candidate = Some((version, *engine));
-                self.confidence_override = confidence;
-                self.tallies = Some(tallies);
-            }
-            Control::Promote { reply } => {
-                if draining {
-                    let _ = reply.send(Err(Error::ServerClosed));
-                } else if let Some((version, engine)) = self.candidate.take() {
-                    let retired = self.install(engine, version, counters);
-                    self.confidence_override = None;
-                    self.tallies = None;
-                    let _ = reply.send(Ok(SwapOutcome::Applied { retired, version }));
-                } else {
-                    let _ = reply.send(Err(Error::NoCanary));
-                }
-            }
-            Control::Rollback { reply } => {
-                if draining {
-                    let _ = reply.send(Err(Error::ServerClosed));
-                } else if let Some((_, engine)) = self.candidate.take() {
-                    self.confidence_override = None;
-                    self.tallies = None;
-                    let _ = reply.send(Ok(SwapOutcome::Applied {
-                        retired: engine,
-                        version: self.current_version,
-                    }));
-                } else {
-                    let _ = reply.send(Err(Error::NoCanary));
-                }
-            }
-        }
-    }
-
-    /// One drift step over every live engine (current + candidate), so a
-    /// canary measured under drift faces the same wandered hardware.
-    fn drift(&mut self, drift: &mut PhaseDrift) {
-        self.current.drift_step(drift);
-        if let Some((_, engine)) = self.candidate.as_mut() {
-            engine.drift_step(drift);
-        }
-    }
-
-    /// Batcher exit: resolve every parked aborted swap (its replacement
-    /// engine goes back to the caller) and hand the serving engine to the
-    /// server for `shutdown()` to return.
-    pub(crate) fn finish(mut self) -> InferenceEngine {
-        for (_, engine, reply) in self.aborted.drain(..) {
-            let _ = reply.send(Ok(SwapOutcome::Aborted {
-                replacement: engine,
-            }));
-        }
-        self.current
-    }
-}
-
-/// The batcher thread body: form micro-batches (flush on `max_batch` or
-/// `max_wait`, whichever first), serve them through the engine's
-/// borrowed-batch path, reply per request. [`Control`] messages ride the
-/// same FIFO as requests; each is applied at a micro-batch boundary,
-/// after the requests admitted before it are flushed — which is what
-/// makes a swap atomic with respect to version stamps. On shutdown,
-/// drain the queue to empty before exiting so no admitted ticket is lost.
-fn batcher(
-    mut rack: EngineRack,
-    rx: mpsc::Receiver<Envelope>,
-    policy: BatchPolicy,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    mut drift: Option<PhaseDrift>,
-) -> InferenceEngine {
-    // The batcher is a resident service thread: claim one slot of the
-    // shared worker budget so engines + grids + servers stay ≈ `--jobs`.
-    let _slot = crate::pool::reserve_service_slot();
-    let mut pending: Vec<Request> = Vec::with_capacity(policy.max_batch);
-    let mut rows: Vec<Complex64> = Vec::new();
-    loop {
-        // Admit the first envelope of the next batch.
-        let first = loop {
-            if stop.load(Ordering::SeqCst) {
-                // Draining: serve whatever is still queued, then exit.
-                break rx.try_recv().ok();
-            }
-            match rx.recv_timeout(IDLE_POLL) {
-                Ok(e) => break Some(e),
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break None,
-            }
-        };
-        let Some(first) = first else { break };
-        let mut control = match first {
-            Envelope::Request(r) => {
-                pending.push(r);
-                None
-            }
-            Envelope::Control(c) => Some(c),
-        };
-
-        // Coalesce until the batch fills, a control message arrives, or
-        // the oldest request's deadline passes (during a drain: until
-        // the queue is empty). Under load, stragglers are collected with
-        // non-blocking drains separated by scheduler yields: parking
-        // would make every straggler's `submit` pay a futex wake,
-        // turning the coalescing window into one context switch per
-        // request. The yield spin is bounded, though — past `SPIN_WAIT`
-        // the batcher parks in timed waits for the rest of the deadline,
-        // so a long `max_wait` over a trickle of traffic idles the core
-        // instead of burning it.
-        const SPIN_WAIT: Duration = Duration::from_micros(256);
-        let deadline = Instant::now() + policy.max_wait;
-        let spin_until = Instant::now() + SPIN_WAIT.min(policy.max_wait);
-        'coalesce: while control.is_none() {
-            while pending.len() < policy.max_batch {
-                match rx.try_recv() {
-                    Ok(Envelope::Request(r)) => pending.push(r),
-                    Ok(Envelope::Control(c)) => {
-                        control = Some(c);
-                        break 'coalesce;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if pending.len() >= policy.max_batch || stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if now < spin_until {
-                thread::yield_now();
-            } else {
-                // Park for the remaining window (capped so a shutdown is
-                // still noticed promptly); a straggler's send wakes us.
-                let nap = (deadline - now).min(IDLE_POLL);
-                match rx.recv_timeout(nap) {
-                    Ok(Envelope::Request(r)) => pending.push(r),
-                    Ok(Envelope::Control(c)) => {
-                        control = Some(c);
-                        break 'coalesce;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-
-        // Everything admitted before the control is flushed first — the
-        // micro-batch boundary the swap is atomic at.
-        let served = !pending.is_empty();
-        if served {
-            serve_flush(&mut rack, &policy, &mut pending, &mut rows, &counters);
-        }
-        if let Some(c) = control {
-            rack.apply(c, stop.load(Ordering::SeqCst), &counters);
-        }
-        // One drift step per served flush: phases wander between
-        // micro-batches, not within one (a batch sees one chip state).
-        if served {
-            if let Some(d) = drift.as_mut() {
-                rack.drift(d);
-            }
-        }
-    }
-    rack.finish()
-}
-
-/// Serves one flush worth of pending requests, grouping by stamped
-/// version so every request is served by exactly the engine it was
-/// admitted under. In steady state the flush is single-version and
-/// serves in place; around a swap or canary the flush partitions into
-/// per-version sub-batches (stable order within each).
-fn serve_flush(
-    rack: &mut EngineRack,
-    policy: &BatchPolicy,
-    pending: &mut Vec<Request>,
-    rows: &mut Vec<Complex64>,
-    counters: &Counters,
-) {
-    while !pending.is_empty() {
-        let version = pending[0].version;
-        if pending.iter().all(|r| r.version == version) {
-            serve_group(rack, policy, version, pending, rows, counters);
-        } else {
-            let (group, rest): (Vec<_>, Vec<_>) =
-                pending.drain(..).partition(|r| r.version == version);
-            *pending = rest;
-            let mut group = group;
-            serve_group(rack, policy, version, &mut group, rows, counters);
-        }
-    }
-}
-
-/// Serves one single-version micro-batch and replies to every request in
-/// it. A batch poisoned by one sample (non-finite logits) falls back to
-/// serving each request individually, so the offending sample gets its
-/// error and the rest still get their predictions.
-fn serve_group(
-    rack: &mut EngineRack,
-    policy: &BatchPolicy,
-    version: u64,
-    pending: &mut Vec<Request>,
-    rows: &mut Vec<Complex64>,
-    counters: &Counters,
-) {
-    counters.batches.fetch_add(1, Ordering::Relaxed);
-    counters
-        .batch_fill
-        .fetch_add(pending.len() as u64, Ordering::Relaxed);
-    rows.clear();
-    for request in pending.iter() {
-        counters.waits.record(request.enqueued_at.elapsed());
-        rows.extend_from_slice(&request.fields);
-    }
-    let confidence = rack.confidence(policy.confidence);
-    let tallies = rack.tallies.clone();
-    let Some(engine) = rack.engine_for(version) else {
-        // Unreachable by construction (every stamped version has a rack
-        // slot until its last ticket resolves), but never strand a ticket.
-        for request in pending.drain(..) {
-            respond(counters, &request, Err(Error::ServerClosed));
-        }
-        return;
-    };
-    let emit = move |logits: &[f64]| decide(confidence, logits);
-    match engine.serve_rows(rows, &emit) {
-        Ok(predictions) => {
-            for (request, prediction) in pending.drain(..).zip(predictions) {
-                tally(tallies.as_deref(), &request, &prediction);
-                respond(counters, &request, Ok(prediction));
-            }
-        }
-        Err(_) => {
-            // Isolate the poisoned sample(s): per-request error indices
-            // are the request's own (single-sample) batch, i.e. 0.
-            for request in pending.drain(..) {
-                let outcome = engine
-                    .serve_rows(&request.fields, &emit)
-                    .map(|mut v| v.remove(0));
-                if let Ok(prediction) = &outcome {
-                    tally(tallies.as_deref(), &request, prediction);
-                }
-                respond(counters, &request, outcome);
-            }
-        }
-    }
-}
-
-/// Canary accounting for one served request: which version served it,
-/// whether the (shared) confidence policy accepted or abstained, and —
-/// when the request carried a ground-truth label — whether the accepted
-/// class was correct.
-fn tally(tallies: Option<&CanaryCounters>, request: &Request, prediction: &Prediction) {
-    let Some(slot) = tallies.and_then(|t| t.slot(request.version)) else {
-        return;
-    };
-    slot.served.fetch_add(1, Ordering::Relaxed);
-    match prediction {
-        Prediction::Class(class) => {
-            slot.accepted.fetch_add(1, Ordering::Relaxed);
-            if let Some(label) = request.label {
-                slot.labeled.fetch_add(1, Ordering::Relaxed);
-                if *class == label {
-                    slot.correct.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        Prediction::Abstain { .. } => {
-            slot.abstained.fetch_add(1, Ordering::Relaxed);
-            if request.label.is_some() {
-                slot.labeled.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-fn respond(counters: &Counters, request: &Request, outcome: Result<Prediction, Error>) {
-    counters.served.fetch_add(1, Ordering::Relaxed);
-    counters.depth.fetch_sub(1, Ordering::Relaxed);
-    if matches!(outcome, Ok(Prediction::Abstain { .. })) {
-        counters.abstained.fetch_add(1, Ordering::Relaxed);
-    }
-    // A dropped ticket just means nobody is listening; serving continues.
-    let _ = request.reply.send(outcome);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::WaitTracker;
     use crate::zoo::{build_fcnn, FcnnConfig, ModelVariant};
     use oplix_nn::tensor::Tensor;
     use oplix_photonics::decoder::DecoderKind;

@@ -688,18 +688,72 @@ fn admission_errors_are_typed_and_deregister_returns_the_engine() {
     ));
 }
 
+/// Regression: `queue_cap` bounds a lane's whole backlog, not just its
+/// channel. A lane that moved every queued request into its EDF set on
+/// each coalesce freed the channel for more admissions, so a submitter
+/// outpacing a slow lane grew the backlog without bound (thousands deep
+/// at `queue_cap(4)`). Requests now leave the channel only while the
+/// pending set has room, so admitted-but-unanswered requests stay within
+/// channel + pending set = 2 · `queue_cap` — the bound a `Server` with
+/// the same policy keeps.
+#[test]
+fn queue_cap_bounds_a_router_lanes_backlog() {
+    const QUEUE_CAP: usize = 4;
+    const SUBMITS: usize = 3000;
+    const ROWS: usize = 32;
+    let test = test_view(ROWS, 70_901);
+    let input = test.inputs.shape()[1];
+    let router = Router::builder()
+        .queue_cap(QUEUE_CAP)
+        .max_batch(1)
+        .max_wait(Duration::ZERO)
+        .build();
+    router
+        .register_engine("m", engine(70_900, input, 384))
+        .expect("registers");
+    let client = router.client();
+
+    let mut peak = 0;
+    let tickets: Vec<RouterTicket> = (0..SUBMITS)
+        .map(|i| {
+            let ticket = client
+                .submit(RouterRequest::new("m", sample_row(&test.inputs, i % ROWS)))
+                .expect("admits");
+            peak = peak.max(router.stats().models["m"].serve.queue_depth);
+            ticket
+        })
+        .collect();
+    for ticket in tickets {
+        ticket.wait().expect("serves");
+    }
+    assert!(
+        peak <= 2 * QUEUE_CAP as u64,
+        "lane backlog peaked at {peak}, beyond 2 × queue_cap = {}",
+        2 * QUEUE_CAP
+    );
+    let m = &router.stats().models["m"];
+    assert_eq!(m.serve.served, SUBMITS as u64);
+    assert_eq!(m.serve.queue_depth, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Under any mix of deadlines and priority classes, the EDF queue
     /// pops in exactly the documented order: earliest deadline first
     /// (deadline-less entries after every deadline), then priority
-    /// class, then push order.
+    /// class, then push order. The order holds for pops interleaved with
+    /// pushes too, with deadline-less entries (their own per-class FIFOs
+    /// inside the queue) making up at least half of the traffic.
     #[test]
     fn edf_queue_pops_in_scheduling_order(
         entries in proptest::collection::vec(
             ((0u8..2), (0u64..40), (0u8..3)),
             1..=48,
+        ),
+        schedule in proptest::collection::vec(
+            ((0u8..2), (0u64..40), (0u8..3), (0u8..3)),
+            1..=64,
         )
     ) {
         let base = Instant::now();
@@ -738,5 +792,43 @@ proptest! {
                 rank(a), a, rank(b), b
             );
         }
+
+        // Interleaved schedule: every odd push may carry a deadline, every
+        // even push never does; after each push, pop with probability
+        // 1/3, then drain. Each pop must be the minimum live entry under
+        // the documented key, push order breaking ties.
+        let mut q = EdfQueue::new();
+        // Live entries as (documented key, push index).
+        let mut live: Vec<((bool, u64, Priority), usize)> = Vec::new();
+        let mut pops = 0usize;
+        let mut check_pop = |q: &mut EdfQueue<usize>, live: &mut Vec<((bool, u64, Priority), usize)>| {
+            let first = (0..live.len()).min_by_key(|&pos| live[pos]);
+            let want = first.map(|pos| live.remove(pos).1);
+            let got = q.pop().map(|e| e.value);
+            prop_assert_eq!(got, want, "interleaved pop broke the scheduling order");
+            pops += 1;
+        };
+        for (i, &(deadline_bit, offset, prio, pop)) in schedule.iter().enumerate() {
+            let priority = match prio {
+                0 => Priority::Interactive,
+                1 => Priority::Standard,
+                _ => Priority::Batch,
+            };
+            let deadline_less = i % 2 == 0 || deadline_bit == 0;
+            let offset = if deadline_less { 0 } else { offset };
+            let deadline = (!deadline_less).then(|| base + Duration::from_millis(offset));
+            q.push(deadline, priority, base, i);
+            live.push(((deadline_less, offset, priority), i));
+            prop_assert_eq!(q.len(), live.len());
+            if pop == 0 {
+                check_pop(&mut q, &mut live);
+            }
+        }
+        while !live.is_empty() {
+            check_pop(&mut q, &mut live);
+        }
+        prop_assert_eq!(pops, schedule.len());
+        prop_assert!(q.is_empty() && q.pop().is_none());
+        prop_assert!(pops >= schedule.len());
     }
 }
