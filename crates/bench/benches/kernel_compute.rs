@@ -25,14 +25,18 @@
 //!
 //! Printed only (not persisted): per-stage attribution of the serving
 //! tier — for every LeNet and FCNN mesh shape at its im2col positions,
-//! ns/sample of the MZI walk ([`CompiledLayer::forward_batch`], the
-//! golden reference) vs the realised transfer
-//! ([`TransferLayer::forward_batch`], what deployed stages serve).
+//! ns/sample of the MZI walk ([`CompiledLayer::forward_batch`] over
+//! gathered rows, the golden reference) vs what the deployed stage
+//! serves: [`TransferLayer::forward_batch`] for dense stages, and for
+//! conv stages [`TransferLayer::conv_into`] on source samples through an
+//! index table built from `im2col_indices` — gather, product and
+//! channel-major write together.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oplix_linalg::CMatrix;
 use oplix_linalg::Complex64;
 use oplix_nn::ctensor::CTensor;
+use oplix_nn::functional::im2col_indices;
 use oplix_nn::head::MergeHead;
 use oplix_nn::layers::{CDense, CRelu, CSequential};
 use oplix_nn::network::Network;
@@ -40,11 +44,11 @@ use oplix_nn::optim::Sgd;
 use oplix_nn::tensor::{transpose2_materialisations, Tensor};
 use oplix_nn::trainer::{train_epoch, CDataset};
 use oplix_photonics::clements::decompose_clements;
-use oplix_photonics::compiled::{CompiledLayer, CompiledMesh};
+use oplix_photonics::compiled::{CompiledLayer, CompiledMesh, GatherSource};
 use oplix_photonics::decoder::DecoderKind;
 use oplix_photonics::mesh::MziMesh;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
-use oplix_photonics::transfer::TransferLayer;
+use oplix_photonics::transfer::{GatherTable, TransferLayer};
 use oplixnet::engine::InferenceEngine;
 use oplixnet::pool;
 use oplixnet::zoo::{build_lenet, LenetConfig, ModelVariant};
@@ -177,7 +181,7 @@ fn report_kernel_baseline(_c: &mut Criterion) {
         t_tn * 1e3,
     );
 
-    // --- Per-stage attribution: MZI walk vs realised transfer. ---
+    // --- Per-stage attribution: MZI walk vs the served stage. ---
     report_stage_attribution();
 
     // --- Staged walk: halved LeNet-5 (seven chips), one worker. ---
@@ -278,26 +282,53 @@ fn report_kernel_baseline(_c: &mut Criterion) {
     }
 }
 
-/// `(outputs, inputs, im2col positions)` of every optical stage the
-/// halved LeNet-5 (16×16 inputs) and the paper FCNN deploy.
-const STAGE_SHAPES: [(&str, usize, usize, usize); 7] = [
-    ("lenet conv1", 3, 26, 256),
-    ("lenet conv2", 6, 76, 64),
-    ("lenet fc1", 24, 97, 1),
-    ("lenet fc2", 16, 25, 1),
-    ("lenet fc3", 20, 17, 1),
-    ("fcnn fc1", 32, 65, 1),
-    ("fcnn fc2", 20, 33, 1),
+/// `(outputs, inputs, im2col positions, conv input (C, H, W))` of every
+/// optical stage the halved LeNet-5 (16×16 inputs) and the paper FCNN
+/// deploy; the LeNet convs are 5×5, stride 1, padding 2.
+type StageShape = (
+    &'static str,
+    usize,
+    usize,
+    usize,
+    Option<(usize, usize, usize)>,
+);
+
+const STAGE_SHAPES: [StageShape; 7] = [
+    ("lenet conv1", 3, 26, 256, Some((1, 16, 16))),
+    ("lenet conv2", 6, 76, 64, Some((3, 8, 8))),
+    ("lenet fc1", 24, 97, 1, None),
+    ("lenet fc2", 16, 25, 1, None),
+    ("lenet fc3", 20, 17, 1, None),
+    ("fcnn fc1", 32, 65, 1, None),
+    ("fcnn fc2", 20, 33, 1, None),
 ];
 
+/// The deployed conv stage's index table: 5×5 patches at stride 1 and
+/// padding 2 (padding taps dark), the bias tap on the reference slot.
+fn conv_table((c, h, w): (usize, usize, usize), fan_in: usize) -> GatherTable {
+    let (indices, _) = im2col_indices(c, h, w, 5, 1, 2);
+    let mut plan = Vec::new();
+    for taps in indices.chunks_exact(fan_in - 1) {
+        plan.extend(taps.iter().map(|&ix| {
+            if ix >= 0 {
+                GatherSource::Input(ix as u32)
+            } else {
+                GatherSource::Dark
+            }
+        }));
+        plan.push(GatherSource::Reference);
+    }
+    GatherTable::new(&plan, c * h * w, fan_in)
+}
+
 /// Prints, per deployed stage shape, ns/sample of the MZI walk and of
-/// the transfer that serves it, over one 64-sample serving window.
+/// what the deployed stage serves, over one 64-sample serving window.
 fn report_stage_attribution() {
     const WINDOW: usize = 64;
     println!("stage attribution (64-sample windows, ns/sample):");
-    println!("  stage          shape   positions        mesh    transfer   speedup");
+    println!("  stage          shape   positions        mesh      served   speedup");
     let (mut mesh_total, mut transfer_total) = (0.0, 0.0);
-    for (i, &(name, m, n, positions)) in STAGE_SHAPES.iter().enumerate() {
+    for (i, &(name, m, n, positions, conv)) in STAGE_SHAPES.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(40 + i as u64);
         let w = CMatrix::from_fn(m, n, |_, _| {
             Complex64::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5))
@@ -315,11 +346,20 @@ fn report_stage_attribution() {
             compiled.forward_batch(&mut io, &mut tmp, rows);
         }) * 1e9
             / WINDOW as f64;
-        let fast = timed(reps, || {
-            io.clear();
-            io.extend_from_slice(&input);
-            transfer.forward_batch(&mut io, &mut tmp, rows);
-        }) * 1e9
+        let fast = match conv {
+            Some(geometry) => {
+                let table = conv_table(geometry, n);
+                assert_eq!(table.positions(), positions, "{name}: im2col geometry");
+                let src = fields(WINDOW * table.src_width(), 60 + i as u64);
+                let mut out = vec![Complex64::ZERO; rows * m];
+                timed(reps, || transfer.conv_into(&table, &src, &mut out))
+            }
+            None => timed(reps, || {
+                io.clear();
+                io.extend_from_slice(&input);
+                transfer.forward_batch(&mut io, &mut tmp, rows);
+            }),
+        } * 1e9
             / WINDOW as f64;
         mesh_total += mesh;
         transfer_total += fast;

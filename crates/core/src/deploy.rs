@@ -26,7 +26,7 @@ use oplix_photonics::compiled::GatherSource;
 use oplix_photonics::count::DeviceCount;
 use oplix_photonics::loss_model::OpticalLossModel;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
-use oplix_photonics::transfer::TransferLayer;
+use oplix_photonics::transfer::{GatherTable, TransferLayer};
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -34,13 +34,15 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// im2col windows expanding to at least this many gathered fields
-/// (`samples × positions × patch_len`) fan the conv stage — gather and
-/// transfer product — out across the persistent executor in contiguous
-/// sample shards instead of running it on the calling (batcher) thread.
-/// Below the threshold the executor hand-off costs more than the stage
-/// itself. Rows are independent through [`TransferLayer::gathered_into`],
-/// so the output is bitwise identical either way.
+/// im2col windows reading at least this many gathered fields
+/// (`samples × positions × (patch_len + 1)`) fan the conv stage — the
+/// one-pass index-table gather, product and channel-major write of
+/// [`TransferLayer::conv_into`] — out across the persistent executor in
+/// contiguous sample shards instead of running it on the calling
+/// (batcher) thread; each shard stages in its worker's thread-local
+/// buffer. Below the threshold the executor hand-off costs more than the
+/// stage itself. Samples are independent through `conv_into`, so the
+/// output is bitwise identical either way.
 const PARALLEL_CONV_MIN_FIELDS: usize = 16 * 1024;
 
 /// Reusable field buffers for [`DeployedFcnn::forward_into`]: after the
@@ -54,15 +56,13 @@ pub struct ForwardBuffers {
 }
 
 /// Reusable field buffers for [`DeployedFcnn::forward_window_into`], the
-/// windowed batch path: ping-pong buffers sized `window × stage width`
-/// plus a gather scratch for conv stages. After warm-up none reallocates,
-/// so a serving worker pushes whole sample windows through the stage
-/// transfers allocation-free.
+/// windowed batch path: ping-pong buffers sized `window × stage width`.
+/// After warm-up neither reallocates, so a serving worker pushes whole
+/// sample windows through the stage transfers allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct WindowBuffers {
     cur: Vec<Complex64>,
     nxt: Vec<Complex64>,
-    aux: Vec<Complex64>,
 }
 
 /// Applies one detection scheme to a row of output fields, appending the
@@ -123,6 +123,8 @@ pub(crate) struct OpticalStage {
 /// two-mesh + attenuator [`PhotonicLayer`]. One mesh serves every output
 /// position — the same weight sharing that makes conv cheap in software
 /// keeps the photonic footprint at one kernel-sized mesh per layer.
+/// Serving runs gather, product and the channel-major write in one pass
+/// ([`TransferLayer::conv_into`]).
 #[derive(Clone, Debug)]
 pub(crate) struct ConvStage {
     /// The hardware: meshes, phases and attenuators. Its MZI walk is the
@@ -131,15 +133,15 @@ pub(crate) struct ConvStage {
     /// The `[out_ch, patch_len + 1]` matrix `layer`'s current phases
     /// realise; every im2col row of every position is served through it.
     transfer: TransferLayer,
-    /// The im2col gather: `positions × (patch_len + 1)` sources.
-    plan: Arc<Vec<GatherSource>>,
-    /// Convolution output positions `H'·W'` (mesh rows per sample).
-    positions: usize,
-    /// Output channels of the convolution.
-    out_ch: usize,
+    /// The im2col gather as a branch-free index table built once at
+    /// deploy time: `positions × (patch_len + 1)` slots into the sample's
+    /// `in_features` fields, with dark taps on slot `in_features` and the
+    /// bias tap on the reference slot `in_features + 1`.
+    table: Arc<GatherTable>,
     /// Flattened input features `C·H·W`.
     in_features: usize,
-    /// Flattened output features `out_ch·H'·W'`.
+    /// Flattened output features `out_ch·H'·W'`, channel-major — the
+    /// layout [`TransferLayer::conv_into`] writes.
     out_features: usize,
     /// Apply the electro-optic split ReLU after this stage.
     relu_after: bool,
@@ -219,7 +221,7 @@ impl DeployedStage {
     /// every walk goes through [`DeployedFcnn::forward_staged`], which is
     /// what keeps all entry points bitwise identical by construction.
     fn apply(&self, buf: &mut WindowBuffers, width: usize, samples: usize) -> usize {
-        let WindowBuffers { cur, nxt, aux } = buf;
+        let WindowBuffers { cur, nxt } = buf;
         let (out_width, relu_after) = match self {
             DeployedStage::Mesh(st) => {
                 // Re-stage: ancilla padding (unitary decoder) plus the
@@ -245,47 +247,37 @@ impl DeployedStage {
                 (st.layer.output_dim(), st.relu_after)
             }
             DeployedStage::Conv(st) => {
-                // im2col: gather every output position's patch (bias on
-                // the reference mode) and serve the patch rows through the
-                // stage transfer, block by block. Windows large enough to
-                // amortise a fan-out run in contiguous sample shards on
-                // the persistent executor (bitwise identical — every row
-                // is served independently).
-                let plan = &st.plan[..];
+                // im2col in one pass: every output position's patch (bias
+                // on the reference slot) is read through the index table
+                // straight into the stage transfer, and the outputs land
+                // channel-major `[O, H'·W']`, the software conv layout.
+                // Windows large enough to amortise a fan-out run in
+                // contiguous sample shards on the persistent executor
+                // (bitwise identical — every sample is served
+                // independently).
+                let table = &*st.table;
                 let src = &cur[..samples * width];
-                let row_fields = st.positions * st.out_ch;
                 nxt.clear();
-                nxt.resize(samples * row_fields, Complex64::ZERO);
-                if samples * plan.len() >= PARALLEL_CONV_MIN_FIELDS && crate::pool::jobs() > 1 {
+                nxt.resize(samples * st.out_features, Complex64::ZERO);
+                if samples * table.positions() * table.fan_in() >= PARALLEL_CONV_MIN_FIELDS
+                    && crate::pool::jobs() > 1
+                {
                     let shards = crate::pool::jobs().min(samples);
                     let chunk = samples.div_ceil(shards);
                     let transfer = &st.transfer;
                     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = nxt
-                        .chunks_mut(chunk * row_fields)
+                        .chunks_mut(chunk * st.out_features)
                         .zip(src.chunks(chunk * width))
                         .map(|(dst, win)| {
-                            Box::new(move || {
-                                transfer.gathered_into(win, width, plan, dst, &mut Vec::new());
-                            }) as Box<dyn FnOnce() + Send + '_>
+                            Box::new(move || transfer.conv_into(table, win, dst))
+                                as Box<dyn FnOnce() + Send + '_>
                         })
                         .collect();
                     crate::pool::run_scoped(tasks);
                 } else {
-                    st.transfer.gathered_into(src, width, plan, nxt, aux);
+                    st.transfer.conv_into(table, src, nxt);
                 }
-                // Transfer rows come back position-major `[P][O]`; the
-                // software conv layout is channel-major `[O, H'·W']`.
-                cur.clear();
-                cur.resize(samples * st.out_features, Complex64::ZERO);
-                for s in 0..samples {
-                    let rows = &nxt[s * row_fields..][..row_fields];
-                    let dst = &mut cur[s * st.out_features..][..st.out_features];
-                    for p in 0..st.positions {
-                        for o in 0..st.out_ch {
-                            dst[o * st.positions + p] = rows[p * st.out_ch + o];
-                        }
-                    }
-                }
+                std::mem::swap(cur, nxt);
                 (st.out_features, st.relu_after)
             }
             DeployedStage::Pool(st) => {
@@ -1340,7 +1332,8 @@ fn deploy_dense(dense: &CDense, style: MeshStyle) -> DeployedKernels {
 /// `[out_ch, C·k·k + 1]` kernel matrix (bias in the last column) maps
 /// through the cached SVD path exactly like a dense layer, and the gather
 /// plan pairs every output position's patch taps with the mesh's input
-/// modes (padding taps dark, bias tap on the reference mode).
+/// modes (padding taps dark, bias tap on the reference mode), compiled
+/// once into the stage's [`GatherTable`].
 fn deploy_conv(
     conv: &CConv2d,
     index: usize,
@@ -1384,9 +1377,7 @@ fn deploy_conv(
     Ok(ConvStage {
         layer: kernels.layer,
         transfer: kernels.transfer,
-        plan: Arc::new(plan),
-        positions,
-        out_ch,
+        table: Arc::new(GatherTable::new(&plan, c * h * w, patch + 1)),
         in_features: c * h * w,
         out_features: out_ch * positions,
         relu_after: false,
@@ -2012,12 +2003,13 @@ mod tests {
                         (DeployedStage::Conv(st), Some(walk)) => {
                             let mut out = vec![Complex64::ZERO; st.out_features];
                             let fan_in = walk.input_dim();
-                            for (p, taps) in st.plan.chunks_exact(fan_in).enumerate() {
+                            let plan = st.table.plan();
+                            for (p, taps) in plan.chunks_exact(fan_in).enumerate() {
                                 let mut row = vec![Complex64::ZERO; fan_in];
                                 gather_into(taps, &cur, &mut row);
                                 walk.forward_into(&mut row, &mut tmp);
                                 for (o, z) in row.iter().enumerate() {
-                                    out[o * st.positions + p] = *z;
+                                    out[o * st.table.positions() + p] = *z;
                                 }
                             }
                             cur = out;

@@ -462,12 +462,12 @@ impl CompiledMesh {
     }
 }
 
-/// Where one gathered input mode of
-/// [`TransferLayer::forward_gathered`](crate::transfer::TransferLayer::forward_gathered)
-/// takes its field from. An im2col lowering of a convolution builds one
-/// `GatherSource` per mesh input mode per output position: in-bounds patch
-/// taps read input fields, padding taps are dark modes, and the bias tap
-/// is the always-on reference mode.
+/// Where one gathered input mode of an im2col row takes its field from.
+/// An im2col lowering of a convolution builds one `GatherSource` per mesh
+/// input mode per output position: in-bounds patch taps read input
+/// fields, padding taps are dark modes, and the bias tap is the always-on
+/// reference mode. Serving compiles the plan into a
+/// [`GatherTable`](crate::transfer::GatherTable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GatherSource {
     /// Read the field at this index of the source sample.
@@ -480,10 +480,12 @@ pub enum GatherSource {
 
 /// Expands one source sample through a gather `plan` into `dst`: each plan
 /// slot reads its input field, a dark (zero) mode, or the reference (unit)
-/// mode. This is the single source of truth for the im2col gather:
-/// [`TransferLayer::gathered_into`](crate::transfer::TransferLayer::gathered_into)
-/// runs it per block of output positions, and the mesh-walk references
-/// the serving tier is tested against run it per row.
+/// mode. This is the reference im2col gather: the mesh-walk references
+/// the serving tier is tested against run it per row, and
+/// [`TransferLayer::conv_into`](crate::transfer::TransferLayer::conv_into),
+/// which reads the same fields through a
+/// [`GatherTable`](crate::transfer::GatherTable), is pinned bitwise
+/// against it.
 ///
 /// The loop is **run-blocked** rather than per-slot: maximal runs of
 /// consecutive `Input(j), Input(j+1), …` taps (the common case — an

@@ -26,9 +26,12 @@
 //! lane orientations — across outputs for dense stages, across rows for
 //! narrow conv stages — run that identical per-element sequence; they are
 //! a codegen choice, not a second semantics, and the unit tests below
-//! pin both against the scalar loop.
+//! pin both against the scalar loop. Likewise the kernel's two row
+//! sources — rows laid out by the caller ([`TransferLayer::forward_batch`])
+//! and im2col rows read through a [`GatherTable`]
+//! ([`TransferLayer::conv_into`]) — hand it the identical field values.
 
-use crate::compiled::{gather_into, CompiledLayer, GatherSource};
+use crate::compiled::{CompiledLayer, GatherSource};
 use crate::svd_map::PhotonicLayer;
 use oplix_linalg::lanes::{cmul_splat_lhs, cmul_splat_rhs, F64x4, Lane};
 use oplix_linalg::{CMatrix, Complex64};
@@ -47,24 +50,216 @@ const ROW_BLOCK: usize = 4;
 /// accumulators of one pass stay in registers on every dispatch tier.
 const OUTPUT_BLOCK: usize = 4;
 
-/// im2col rows [`TransferLayer::gathered_into`] expands per kernel call:
-/// the gathered block stays cache-resident between the gather and the
-/// product instead of the whole window's patches round-tripping through
-/// memory.
-const GATHER_BLOCK_ROWS: usize = 32;
+/// Lanes of the widest dispatch tier (`F64x8`): a row-lane block stages
+/// `2·n` rows of this many doubles.
+const MAX_LANES: usize = 8;
 
 std::thread_local! {
-    /// Reusable planar staging buffer of the row-lane orientation (one
-    /// block of rows, mode-major): after warm-up the kernel allocates
-    /// nothing per window.
-    static ROW_LANE_SCRATCH: std::cell::RefCell<Vec<f64>> =
+    /// Reusable planar staging buffer: one row-lane block (mode-major)
+    /// and, for conv windows, the current sample's fields. After warm-up
+    /// the kernel allocates nothing per window.
+    static STAGING: std::cell::RefCell<Vec<f64>> =
         const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Lends this thread's staging buffer, grown to at least `len` doubles.
+/// Grow-only: every consumer writes each value before reading it.
+fn with_staging<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    STAGING.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// An im2col gather compiled to a branch-free index table, built once
+/// per conv stage: one `u32` per mesh input mode per output position
+/// (position-major), indexing the sample's fields *extended by two
+/// constant slots* — `src_width` holds the dark (zero) field and
+/// `src_width + 1` the reference (unit) field. So `Input(j)` → `j`,
+/// `Dark` → `src_width`, `Reference` → `src_width + 1`, and serving a
+/// tap is one load whatever its kind.
+///
+/// # Example
+///
+/// ```
+/// use oplix_photonics::compiled::GatherSource::{Dark, Input, Reference};
+/// use oplix_photonics::transfer::GatherTable;
+///
+/// // Two positions of a 2-mode mesh over 3-field samples.
+/// let plan = [Input(2), Reference, Dark, Reference];
+/// let table = GatherTable::new(&plan, 3, 2);
+/// assert_eq!(table.positions(), 2);
+/// assert_eq!(table.plan(), plan);
+/// ```
+#[derive(Clone, Debug)]
+pub struct GatherTable {
+    idx: Vec<u32>,
+    src_width: usize,
+    fan_in: usize,
+}
+
+impl GatherTable {
+    /// Compiles a gather `plan` of `positions × fan_in` sources over
+    /// samples of `src_width` fields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src_width` or `fan_in` is zero, `fan_in` does not
+    /// divide `plan.len()`, a plan entry indexes past `src_width`, or
+    /// `src_width + 1` does not fit in a `u32`.
+    pub fn new(plan: &[GatherSource], src_width: usize, fan_in: usize) -> Self {
+        assert!(
+            src_width > 0 && src_width < u32::MAX as usize,
+            "sample width must be in 1..u32::MAX"
+        );
+        assert!(
+            fan_in > 0 && plan.len().is_multiple_of(fan_in),
+            "gather plan length must be a multiple of the layer fan-in"
+        );
+        let dark = src_width as u32;
+        let idx = plan
+            .iter()
+            .map(|&source| match source {
+                GatherSource::Input(j) => {
+                    assert!(j < dark, "gather plan entry indexes past the sample");
+                    j
+                }
+                GatherSource::Dark => dark,
+                GatherSource::Reference => dark + 1,
+            })
+            .collect();
+        GatherTable {
+            idx,
+            src_width,
+            fan_in,
+        }
+    }
+
+    /// Fields per source sample.
+    #[inline]
+    pub fn src_width(&self) -> usize {
+        self.src_width
+    }
+
+    /// Mesh input modes per output position.
+    #[inline]
+    pub fn fan_in(&self) -> usize {
+        self.fan_in
+    }
+
+    /// Output positions (gathered rows) per sample.
+    #[inline]
+    pub fn positions(&self) -> usize {
+        self.idx.len() / self.fan_in
+    }
+
+    /// The plan the table was compiled from — the per-slot form the
+    /// reference gather ([`gather_into`](crate::compiled::gather_into))
+    /// walks.
+    pub fn plan(&self) -> Vec<GatherSource> {
+        let dark = self.src_width as u32;
+        self.idx
+            .iter()
+            .map(|&t| match t {
+                t if t < dark => GatherSource::Input(t),
+                t if t == dark => GatherSource::Dark,
+                _ => GatherSource::Reference,
+            })
+            .collect()
+    }
+}
+
+/// Where a kernel call reads its rows: input field `j` of row `s`. Both
+/// sources hand the kernel identical values for identical rows, so the
+/// product cannot tell them apart.
+trait RowSource: Copy {
+    /// Input field `j` of row `s`.
+    fn field(&self, s: usize, j: usize) -> Complex64;
+
+    /// Stages rows `s0..s0 + V::LANES` planar and mode-major: field `j`
+    /// of row `s0 + l` lands at `xr[j·V::LANES + l]` / `xi[…]`.
+    fn stage<V: Lane<f64>>(&self, s0: usize, xr: &mut [f64], xi: &mut [f64]);
+}
+
+/// Rows the caller laid out: `n` contiguous fields per row.
+#[derive(Clone, Copy)]
+struct Staged<'a> {
+    x: &'a [Complex64],
+    n: usize,
+}
+
+impl RowSource for Staged<'_> {
+    #[inline(always)]
+    fn field(&self, s: usize, j: usize) -> Complex64 {
+        self.x[s * self.n + j]
+    }
+
+    #[inline(always)]
+    fn stage<V: Lane<f64>>(&self, s0: usize, xr: &mut [f64], xi: &mut [f64]) {
+        let n = self.n;
+        for (l, row) in self.x[s0 * n..(s0 + V::LANES) * n]
+            .chunks_exact(n)
+            .enumerate()
+        {
+            for (j, z) in row.iter().enumerate() {
+                xr[j * V::LANES + l] = z.re;
+                xi[j * V::LANES + l] = z.im;
+            }
+        }
+    }
+}
+
+/// The im2col rows of one sample: field `j` of position `s` is slot
+/// `idx[s·n + j]` of the sample's planar fields `re`/`im`, which end in
+/// the dark and reference slots.
+#[derive(Clone, Copy)]
+struct Indexed<'a> {
+    idx: &'a [u32],
+    re: &'a [f64],
+    im: &'a [f64],
+    n: usize,
+}
+
+impl RowSource for Indexed<'_> {
+    #[inline(always)]
+    fn field(&self, s: usize, j: usize) -> Complex64 {
+        let t = self.idx[s * self.n + j] as usize;
+        Complex64::new(self.re[t], self.im[t])
+    }
+
+    #[inline(always)]
+    fn stage<V: Lane<f64>>(&self, s0: usize, xr: &mut [f64], xi: &mut [f64]) {
+        let n = self.n;
+        for (l, taps) in self.idx[s0 * n..(s0 + V::LANES) * n]
+            .chunks_exact(n)
+            .enumerate()
+        {
+            for (j, &t) in taps.iter().enumerate() {
+                xr[j * V::LANES + l] = self.re[t as usize];
+                xi[j * V::LANES + l] = self.im[t as usize];
+            }
+        }
+    }
+}
+
+/// Where output `i` of row `s` lands: `out[s·row + i·col]` — row-major
+/// (`row = m`, `col = 1`) for a dense window, channel-major (`row = 1`,
+/// `col = positions`) for one conv sample.
+#[derive(Clone, Copy)]
+struct Layout {
+    row: usize,
+    col: usize,
 }
 
 /// The `[m, n]` matrix an SVD-mapped layer's current phases realise,
 /// stored planar and transposed (`re[j·m + i]`, `im[j·m + i]` hold
-/// entry `(i, j)`), with batched entry points shaped like
-/// [`CompiledLayer`]'s.
+/// entry `(i, j)`), served through a batched entry point shaped like
+/// [`CompiledLayer`]'s ([`TransferLayer::forward_batch`]) and the
+/// one-pass im2col entry point of conv stages
+/// ([`TransferLayer::conv_into`]).
 ///
 /// # Example
 ///
@@ -163,121 +358,144 @@ impl TransferLayer {
         );
         tmp.clear();
         tmp.resize(samples * self.m, Complex64::ZERO);
-        self.dispatch(io, tmp, samples);
+        let rows = Staged { x: io, n: self.n };
+        let layout = Layout {
+            row: self.m,
+            col: 1,
+        };
+        with_staging(2 * MAX_LANES * self.n, |planar| {
+            self.dispatch(rows, samples, tmp, layout, planar)
+        });
         std::mem::swap(io, tmp);
     }
 
-    /// Batched forward over *im2col windows*: every sample of `src` (a
-    /// contiguous window of `src.len() / src_width` samples) expands
-    /// through `plan` into `plan.len() / input_dim` gathered rows — one
-    /// per convolution output position — where each plan entry reads an
-    /// input field, a dark (zero-padding) mode or the always-on reference
-    /// (bias) mode. On exit `io` holds
-    /// `samples × rows_per_sample × output_dim` fields, row-major in
-    /// `(sample, row)` order; `tmp` is caller-owned scratch. Bitwise
-    /// identical to gathering every row by hand and running the window
-    /// through [`TransferLayer::forward_batch`].
+    /// Serves a window of im2col convolutions in one pass. Each sample of
+    /// `src` (`src.len() / table.src_width()` samples) is copied once into
+    /// a planar source ending in the dark and reference slots; its
+    /// `table.positions()` patch rows are read through the index table
+    /// straight into the kernel — into the row-lane block when
+    /// `m < 8`, field by field when lanes run across outputs — and its
+    /// outputs are written **channel-major**: per sample, `m × positions`
+    /// fields of `out` with output `i` of position `p` at
+    /// `i·positions + p` (the software conv layout `[out_ch, H'·W']`).
+    ///
+    /// Bitwise identical to gathering every row by hand, running the rows
+    /// through [`TransferLayer::forward_batch`] and transposing: the
+    /// kernel sees the same fields, dark taps included. Samples are
+    /// independent, so disjoint sample ranges of one window can be served
+    /// concurrently into disjoint slices of `out`.
     ///
     /// # Panics
     ///
-    /// Panics if `plan.len()` is not a multiple of
-    /// [`TransferLayer::input_dim`], `src.len()` is not a multiple of
-    /// `src_width`, or a plan entry indexes past `src_width`.
-    pub fn forward_gathered(
-        &self,
-        src: &[Complex64],
-        src_width: usize,
-        plan: &[GatherSource],
-        io: &mut Vec<Complex64>,
-        tmp: &mut Vec<Complex64>,
-    ) {
-        let rows = src.len() / src_width.max(1) * (plan.len() / self.n.max(1));
-        io.clear();
-        io.resize(rows * self.m, Complex64::ZERO);
-        self.gathered_into(src, src_width, plan, io, tmp);
+    /// Panics if `table.fan_in() != self.input_dim()`, `src.len()` is not
+    /// a multiple of `table.src_width()`, or `out` does not hold exactly
+    /// `m × positions` fields per sample.
+    pub fn conv_into(&self, table: &GatherTable, src: &[Complex64], out: &mut [Complex64]) {
+        self.conv_with(table, src, out, |rows, dst, layout, planar| {
+            self.dispatch(rows, table.positions(), dst, layout, planar)
+        });
     }
 
-    /// [`TransferLayer::forward_gathered`] into a caller-sized `out`
-    /// slice, so disjoint sample ranges of one window can be served
-    /// concurrently. Rows are gathered 32 at a time into `scratch` and run
-    /// through the kernel straight away; rows are independent, so the
-    /// blocking is bitwise invisible.
+    /// [`TransferLayer::conv_into`] through the portable kernel body at
+    /// `V` lanes, without runtime tier dispatch — bitwise identical to it
+    /// at every lane width, so each body can be pinned on its own.
     ///
     /// # Panics
     ///
-    /// Panics if `plan.len()` is not a multiple of
-    /// [`TransferLayer::input_dim`], `src.len()` is not a multiple of
-    /// `src_width`, `out` does not hold exactly one output row per
-    /// gathered row, or a plan entry indexes past `src_width`.
-    pub fn gathered_into(
+    /// Same conditions as [`TransferLayer::conv_into`].
+    pub fn conv_into_lanes<V: Lane<f64>>(
         &self,
+        table: &GatherTable,
         src: &[Complex64],
-        src_width: usize,
-        plan: &[GatherSource],
         out: &mut [Complex64],
-        scratch: &mut Vec<Complex64>,
     ) {
-        let (m, n) = (self.m, self.n);
-        assert!(
-            n > 0 && plan.len().is_multiple_of(n),
-            "gather plan length must be a multiple of the layer fan-in"
+        self.conv_with(table, src, out, |rows, dst, layout, planar| {
+            self.kernel::<V, _>(rows, table.positions(), dst, layout, planar)
+        });
+    }
+
+    /// The per-sample loop of the conv entry points: checks shapes, then
+    /// fills the planar source of each sample and hands its rows, its
+    /// channel-major output slice and the row-lane block to `run`.
+    #[inline(always)]
+    fn conv_with(
+        &self,
+        table: &GatherTable,
+        src: &[Complex64],
+        out: &mut [Complex64],
+        run: impl Fn(Indexed<'_>, &mut [Complex64], Layout, &mut [f64]),
+    ) {
+        let (n, w) = (self.n, table.src_width);
+        assert_eq!(
+            table.fan_in, n,
+            "gather table fan-in must match the layer fan-in"
         );
         assert!(
-            src_width > 0 && src.len().is_multiple_of(src_width),
+            src.len().is_multiple_of(w),
             "source window length must be a multiple of the sample width"
         );
-        let rows_per_sample = plan.len() / n;
+        let positions = table.positions();
+        let per_sample = self.m * positions;
         assert_eq!(
             out.len(),
-            src.len() / src_width * rows_per_sample * m,
-            "output length must be gathered rows * layer fan-out"
+            src.len() / w * per_sample,
+            "output length must be samples * positions * layer fan-out"
         );
-        scratch.clear();
-        scratch.resize(GATHER_BLOCK_ROWS.min(rows_per_sample) * n, Complex64::ZERO);
-        for (sample, dst) in src
-            .chunks_exact(src_width)
-            .zip(out.chunks_exact_mut((rows_per_sample * m).max(1)))
-        {
-            for (taps, block) in plan
-                .chunks(GATHER_BLOCK_ROWS * n)
-                .zip(dst.chunks_mut(GATHER_BLOCK_ROWS * m.max(1)))
+        let layout = Layout {
+            row: 1,
+            col: positions,
+        };
+        let block = 2 * MAX_LANES * n;
+        with_staging(block + 2 * (w + 2), |buf| {
+            let (planar, source) = buf.split_at_mut(block);
+            let (re, im) = source.split_at_mut(w + 2);
+            (re[w], im[w]) = (0.0, 0.0);
+            (re[w + 1], im[w + 1]) = (1.0, 0.0);
+            for (sample, dst) in src
+                .chunks_exact(w)
+                .zip(out.chunks_exact_mut(per_sample.max(1)))
             {
-                let x = &mut scratch[..taps.len()];
-                gather_into(taps, sample, x);
-                self.dispatch(x, block, taps.len() / n);
+                for (z, (r, i)) in sample.iter().zip(re.iter_mut().zip(im.iter_mut())) {
+                    (*r, *i) = (z.re, z.im);
+                }
+                let rows = Indexed {
+                    idx: &table.idx,
+                    re,
+                    im,
+                    n,
+                };
+                run(rows, dst, layout, planar);
             }
-        }
+        });
     }
 
-    /// Picks the widest lane tier the CPU supports and lends the kernel
-    /// this thread's row-lane staging buffer.
-    fn dispatch(&self, x: &[Complex64], out: &mut [Complex64], samples: usize) {
-        ROW_LANE_SCRATCH.with(|cell| {
-            let mut planar = cell.borrow_mut();
-            // Grow-only: a row-lane block overwrites every staged value
-            // before reading it. Sized for the widest (8-lane) tier.
-            if planar.len() < 2 * 8 * self.n {
-                planar.resize(2 * 8 * self.n, 0.0);
+    /// Picks the widest lane tier the CPU supports for `count` rows.
+    fn dispatch<S: RowSource>(
+        &self,
+        rows: S,
+        count: usize,
+        out: &mut [Complex64],
+        layout: Layout,
+        planar: &mut [f64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if oplix_linalg::lanes::avx512f_available() {
+                // SAFETY: AVX-512F was just verified at runtime; the
+                // clone is the identical portable lane body
+                // monomorphised at 8 lanes, so results are bitwise
+                // unchanged.
+                unsafe { self.kernel_avx512(rows, count, out, layout, planar) };
+                return;
             }
-            #[cfg(target_arch = "x86_64")]
-            {
-                if oplix_linalg::lanes::avx512f_available() {
-                    // SAFETY: AVX-512F was just verified at runtime; the
-                    // clone is the identical portable lane body
-                    // monomorphised at 8 lanes, so results are bitwise
-                    // unchanged.
-                    unsafe { self.kernel_avx512(x, out, samples, &mut planar) };
-                    return;
-                }
-                if oplix_linalg::lanes::avx2_available() {
-                    // SAFETY: AVX2 was just verified at runtime; the clone
-                    // is the identical portable lane body at 4 lanes.
-                    unsafe { self.kernel_avx2(x, out, samples, &mut planar) };
-                    return;
-                }
+            if oplix_linalg::lanes::avx2_available() {
+                // SAFETY: AVX2 was just verified at runtime; the clone
+                // is the identical portable lane body at 4 lanes.
+                unsafe { self.kernel_avx2(rows, count, out, layout, planar) };
+                return;
             }
-            self.kernel::<F64x4>(x, out, samples, &mut planar);
-        });
+        }
+        self.kernel::<F64x4, S>(rows, count, out, layout, planar);
     }
 
     // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
@@ -285,14 +503,15 @@ impl TransferLayer {
     // portable `kernel`, monomorphised at 8 lanes.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn kernel_avx512(
+    unsafe fn kernel_avx512<S: RowSource>(
         &self,
-        x: &[Complex64],
+        rows: S,
+        count: usize,
         out: &mut [Complex64],
-        samples: usize,
+        layout: Layout,
         planar: &mut [f64],
     ) {
-        self.kernel::<oplix_linalg::lanes::F64x8>(x, out, samples, planar);
+        self.kernel::<oplix_linalg::lanes::F64x8, S>(rows, count, out, layout, planar);
     }
 
     // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
@@ -300,51 +519,60 @@ impl TransferLayer {
     // portable `kernel`, monomorphised at 4 lanes.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn kernel_avx2(
+    unsafe fn kernel_avx2<S: RowSource>(
         &self,
-        x: &[Complex64],
+        rows: S,
+        count: usize,
         out: &mut [Complex64],
-        samples: usize,
+        layout: Layout,
         planar: &mut [f64],
     ) {
-        self.kernel::<F64x4>(x, out, samples, planar);
+        self.kernel::<F64x4, S>(rows, count, out, layout, planar);
     }
 
-    /// The portable kernel body: the orientation is chosen by output
-    /// width only, and both are bitwise [`TransferLayer::scalar_rows`].
+    /// The portable kernel body over `count` rows of `rows`: the
+    /// orientation is chosen by output width only, and both are bitwise
+    /// [`TransferLayer::scalar_rows`].
     #[inline(always)]
-    fn kernel<V: Lane<f64>>(
+    fn kernel<V: Lane<f64>, S: RowSource>(
         &self,
-        x: &[Complex64],
+        rows: S,
+        count: usize,
         out: &mut [Complex64],
-        samples: usize,
+        layout: Layout,
         planar: &mut [f64],
     ) {
         if self.m >= OUTPUT_LANES_MIN_OUTPUTS {
-            self.output_lanes::<V>(x, out, samples);
+            self.output_lanes::<V, S>(rows, count, out, layout);
         } else {
-            self.row_lanes::<V>(x, out, samples, planar);
+            self.row_lanes::<V, S>(rows, count, out, layout, planar);
         }
     }
 
     /// The reference semantics of one output element: `o += a * t` from
-    /// zero, in ascending input mode, over one row's fields `xs`.
+    /// zero, in ascending input mode, over row `s`'s fields.
     #[inline(always)]
-    fn dot(&self, xs: &[Complex64], i: usize) -> Complex64 {
+    fn dot<S: RowSource>(&self, rows: S, s: usize, i: usize) -> Complex64 {
         let mut o = Complex64::ZERO;
-        for (j, &a) in xs.iter().enumerate() {
-            o += a * Complex64::new(self.re[j * self.m + i], self.im[j * self.m + i]);
+        for j in 0..self.n {
+            o +=
+                rows.field(s, j) * Complex64::new(self.re[j * self.m + i], self.im[j * self.m + i]);
         }
         o
     }
 
-    /// Rows `rows` of `x` into `out`, one [`TransferLayer::dot`] per
+    /// Rows `range` of `rows` into `out`, one [`TransferLayer::dot`] per
     /// output element.
-    fn scalar_rows(&self, x: &[Complex64], out: &mut [Complex64], rows: std::ops::Range<usize>) {
-        let (m, n) = (self.m, self.n);
-        for s in rows {
-            for i in 0..m {
-                out[s * m + i] = self.dot(&x[s * n..(s + 1) * n], i);
+    fn scalar_rows<S: RowSource>(
+        &self,
+        rows: S,
+        out: &mut [Complex64],
+        layout: Layout,
+        range: std::ops::Range<usize>,
+    ) {
+        for s in range {
+            for i in 0..self.m {
+                out[s * layout.row + i * layout.col] = self.dot(rows, s, i);
             }
         }
     }
@@ -352,14 +580,20 @@ impl TransferLayer {
     /// Lanes across each row's outputs (dense stages): blocks of
     /// [`ROW_BLOCK`] rows share every loaded stripe of the matrix.
     #[inline(always)]
-    fn output_lanes<V: Lane<f64>>(&self, x: &[Complex64], out: &mut [Complex64], samples: usize) {
+    fn output_lanes<V: Lane<f64>, S: RowSource>(
+        &self,
+        rows: S,
+        count: usize,
+        out: &mut [Complex64],
+        layout: Layout,
+    ) {
         let mut s = 0;
-        while s + ROW_BLOCK <= samples {
-            self.output_block::<V, ROW_BLOCK>(x, out, s);
+        while s + ROW_BLOCK <= count {
+            self.output_block::<V, S, ROW_BLOCK>(rows, out, layout, s);
             s += ROW_BLOCK;
         }
-        while s < samples {
-            self.output_block::<V, 1>(x, out, s);
+        while s < count {
+            self.output_block::<V, S, 1>(rows, out, layout, s);
             s += 1;
         }
     }
@@ -367,25 +601,26 @@ impl TransferLayer {
     /// Rows `s0..s0 + R`, every output: full `V` stripes, then a
     /// four-wide stripe, then scalar outputs for the remainder.
     #[inline(always)]
-    fn output_block<V: Lane<f64>, const R: usize>(
+    fn output_block<V: Lane<f64>, S: RowSource, const R: usize>(
         &self,
-        x: &[Complex64],
+        rows: S,
         out: &mut [Complex64],
+        layout: Layout,
         s0: usize,
     ) {
         let m = self.m;
         let mut c = 0;
         while c + V::LANES <= m {
-            self.output_stripe::<V, R>(x, out, s0, c);
+            self.output_stripe::<V, S, R>(rows, out, layout, s0, c);
             c += V::LANES;
         }
         if c + F64x4::LANES <= m {
-            self.output_stripe::<F64x4, R>(x, out, s0, c);
+            self.output_stripe::<F64x4, S, R>(rows, out, layout, s0, c);
             c += F64x4::LANES;
         }
         for i in c..m {
             for s in s0..s0 + R {
-                out[s * m + i] = self.dot(&x[s * self.n..(s + 1) * self.n], i);
+                out[s * layout.row + i * layout.col] = self.dot(rows, s, i);
             }
         }
     }
@@ -395,71 +630,69 @@ impl TransferLayer {
     /// ([`cmul_splat_lhs`] — the field is the left operand, as in
     /// `a * t`), each added into its row's accumulator.
     #[inline(always)]
-    fn output_stripe<W: Lane<f64>, const R: usize>(
+    fn output_stripe<W: Lane<f64>, S: RowSource, const R: usize>(
         &self,
-        x: &[Complex64],
+        rows: S,
         out: &mut [Complex64],
+        layout: Layout,
         s0: usize,
         c: usize,
     ) {
-        let (m, n) = (self.m, self.n);
+        let m = self.m;
         let mut acc_re = [W::splat(0.0); R];
         let mut acc_im = [W::splat(0.0); R];
-        for j in 0..n {
+        for j in 0..self.n {
             let tr = W::load(&self.re[j * m + c..]);
             let ti = W::load(&self.im[j * m + c..]);
             for r in 0..R {
-                let a = x[(s0 + r) * n + j];
+                let a = rows.field(s0 + r, j);
                 let (pr, pi) = cmul_splat_lhs(a.re, a.im, tr, ti);
                 acc_re[r] = acc_re[r] + pr;
                 acc_im[r] = acc_im[r] + pi;
             }
         }
         for r in 0..R {
-            let dst = &mut out[(s0 + r) * m + c..][..W::LANES];
-            for (l, o) in dst.iter_mut().enumerate() {
-                *o = Complex64::new(acc_re[r].get(l), acc_im[r].get(l));
+            for l in 0..W::LANES {
+                out[(s0 + r) * layout.row + (c + l) * layout.col] =
+                    Complex64::new(acc_re[r].get(l), acc_im[r].get(l));
             }
         }
     }
 
     /// Lanes across `V::LANES` rows at a time (narrow conv stages): each
     /// block of rows is staged planar and mode-major in `planar` (`2·n`
-    /// rows of `V::LANES` doubles) so every input mode is two contiguous
+    /// rows of `V::LANES` doubles — for conv rows, gathered straight
+    /// through the index table) so every input mode is two contiguous
     /// lane loads, then served in passes of up to [`OUTPUT_BLOCK`]
     /// outputs; the remainder rows run the scalar loop.
     #[inline(always)]
-    fn row_lanes<V: Lane<f64>>(
+    fn row_lanes<V: Lane<f64>, S: RowSource>(
         &self,
-        x: &[Complex64],
+        rows: S,
+        count: usize,
         out: &mut [Complex64],
-        samples: usize,
+        layout: Layout,
         planar: &mut [f64],
     ) {
         let (m, n) = (self.m, self.n);
         let (xr, xi) = planar[..2 * n * V::LANES].split_at_mut(n * V::LANES);
-        let full = samples - samples % V::LANES;
+        let full = count - count % V::LANES;
         let mut s = 0;
         while s < full {
-            for (l, row) in x[s * n..(s + V::LANES) * n].chunks_exact(n).enumerate() {
-                for (j, z) in row.iter().enumerate() {
-                    xr[j * V::LANES + l] = z.re;
-                    xi[j * V::LANES + l] = z.im;
-                }
-            }
+            rows.stage::<V>(s, xr, xi);
             let mut i = 0;
             while i < m {
                 match m - i {
-                    1 => self.row_stripe::<V, 1>(xr, xi, out, s, i),
-                    2 => self.row_stripe::<V, 2>(xr, xi, out, s, i),
-                    3 => self.row_stripe::<V, 3>(xr, xi, out, s, i),
-                    _ => self.row_stripe::<V, OUTPUT_BLOCK>(xr, xi, out, s, i),
+                    1 => self.row_stripe::<V, 1>(xr, xi, out, layout, s, i),
+                    2 => self.row_stripe::<V, 2>(xr, xi, out, layout, s, i),
+                    3 => self.row_stripe::<V, 3>(xr, xi, out, layout, s, i),
+                    _ => self.row_stripe::<V, OUTPUT_BLOCK>(xr, xi, out, layout, s, i),
                 }
                 i += OUTPUT_BLOCK.min(m - i);
             }
             s += V::LANES;
         }
-        self.scalar_rows(x, out, full..samples);
+        self.scalar_rows(rows, out, layout, full..count);
     }
 
     /// Outputs `i0..i0 + K` of the staged rows `s0..s0 + V::LANES`: per
@@ -472,13 +705,14 @@ impl TransferLayer {
         xr: &[f64],
         xi: &[f64],
         out: &mut [Complex64],
+        layout: Layout,
         s0: usize,
         i0: usize,
     ) {
-        let (m, n) = (self.m, self.n);
+        let m = self.m;
         let mut acc_re = [V::splat(0.0); K];
         let mut acc_im = [V::splat(0.0); K];
-        for j in 0..n {
+        for j in 0..self.n {
             let vr = V::load(&xr[j * V::LANES..]);
             let vi = V::load(&xi[j * V::LANES..]);
             let t = j * m + i0;
@@ -488,10 +722,10 @@ impl TransferLayer {
                 acc_im[k] = acc_im[k] + pi;
             }
         }
-        for l in 0..V::LANES {
-            let dst = &mut out[(s0 + l) * m + i0..][..K];
-            for (k, o) in dst.iter_mut().enumerate() {
-                *o = Complex64::new(acc_re[k].get(l), acc_im[k].get(l));
+        for k in 0..K {
+            for l in 0..V::LANES {
+                out[(s0 + l) * layout.row + (i0 + k) * layout.col] =
+                    Complex64::new(acc_re[k].get(l), acc_im[k].get(l));
             }
         }
     }
@@ -543,11 +777,11 @@ mod tests {
     }
 
     #[test]
-    fn forward_gathered_matches_manual_gather_bitwise() {
+    fn conv_into_matches_manual_gather_bitwise() {
         // A 3-mode layer fed two gathered rows per 4-wide source sample:
         // the im2col entry point must be bitwise the hand-gathered
         // per-row walk, including dark (padding) and reference (bias)
-        // modes.
+        // modes, with each sample's outputs channel-major.
         let t = random_layer(2, 3, 900);
         let plan = [
             GatherSource::Input(2),
@@ -557,21 +791,27 @@ mod tests {
             GatherSource::Input(3),
             GatherSource::Reference,
         ];
+        let table = GatherTable::new(&plan, 4, 3);
+        assert_eq!(table.plan(), plan);
         let src = random_fields(3 * 4, 901); // three 4-wide samples
-        let (mut io, mut tmp) = (Vec::new(), Vec::new());
-        t.forward_gathered(&src, 4, &plan, &mut io, &mut tmp);
+        let mut got = vec![Complex64::ZERO; 3 * 2 * 2];
+        t.conv_into(&table, &src, &mut got);
 
         let mut want = Vec::new();
+        let mut tmp = Vec::new();
         for sample in src.chunks_exact(4) {
+            let mut rows = Vec::new();
             for mut row in [
                 vec![sample[2], Complex64::ZERO, Complex64::ONE],
                 vec![sample[0], sample[3], Complex64::ONE],
             ] {
                 t.forward_batch(&mut row, &mut tmp, 1);
-                want.extend(row);
+                rows.push(row);
             }
+            // Channel-major: output 0 of both positions, then output 1.
+            want.extend([rows[0][0], rows[1][0], rows[0][1], rows[1][1]]);
         }
-        assert_eq!(bits(&io), bits(&want));
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -597,20 +837,22 @@ mod tests {
         ) {
             let t = random_layer(m, n, seed);
             let x = random_fields(samples * n, seed ^ 0x7a5);
+            let rows = Staged { x: &x, n };
+            let layout = Layout { row: m, col: 1 };
             let mut want = vec![Complex64::ZERO; samples * m];
-            t.scalar_rows(&x, &mut want, 0..samples);
+            t.scalar_rows(rows, &mut want, layout, 0..samples);
             let want = bits(&want);
             let mut got = vec![Complex64::ZERO; samples * m];
-            t.output_lanes::<F64x4>(&x, &mut got, samples);
+            t.output_lanes::<F64x4, _>(rows, samples, &mut got, layout);
             prop_assert_eq!(bits(&got), want.clone(), "output lanes x4");
-            t.output_lanes::<F64x8>(&x, &mut got, samples);
+            t.output_lanes::<F64x8, _>(rows, samples, &mut got, layout);
             prop_assert_eq!(bits(&got), want.clone(), "output lanes x8");
             let mut planar = vec![0.0; 2 * 8 * n];
-            t.row_lanes::<F64x4>(&x, &mut got, samples, &mut planar);
+            t.row_lanes::<F64x4, _>(rows, samples, &mut got, layout, &mut planar);
             prop_assert_eq!(bits(&got), want.clone(), "row lanes x4");
-            t.row_lanes::<F64x8>(&x, &mut got, samples, &mut planar);
+            t.row_lanes::<F64x8, _>(rows, samples, &mut got, layout, &mut planar);
             prop_assert_eq!(bits(&got), want.clone(), "row lanes x8");
-            t.dispatch(&x, &mut got, samples);
+            t.dispatch(rows, samples, &mut got, layout, &mut planar);
             prop_assert_eq!(bits(&got), want, "dispatched tier");
         }
     }

@@ -8,7 +8,8 @@
 //! * a deployed CNN's classifications are **bitwise identical** across
 //!   engine worker counts {1, 2, 7} and through the `serve::Server`
 //!   micro-batcher, mirroring the FCNN contracts in `tests/serving.rs` /
-//!   `tests/serve.rs`;
+//!   `tests/serve.rs` — and so are its logits when the conv stage is
+//!   wide enough (8+ channels) to serve with lanes across outputs;
 //! * deployed-CNN logits agree with the electronic forward within the
 //!   same tolerance the FCNN deployment pins;
 //! * rank-4 `[N, C, H, W]` image views serve through every engine entry
@@ -129,6 +130,55 @@ proptest! {
                 .classify(&view)
                 .expect("sharded classify");
             prop_assert_eq!(&got, &want, "workers {}", workers);
+        }
+    }
+}
+
+#[test]
+fn wide_conv_stage_logits_are_bitwise_across_worker_counts() {
+    // Conv stages with 8 or more output channels serve with lanes across
+    // outputs (full 8-wide stripes, a 4-wide stripe, scalar remainders)
+    // rather than across positions. Their *logits* must be bitwise
+    // identical at every worker count, over 70 samples (a full 64-sample
+    // window plus a remainder) and position counts off the lane grid: a
+    // 6×7 image gives 20 positions, a 5×7 one an odd 15.
+    let (c, kernel, stride, pad) = (2, 3, 1, 0);
+    for out_ch in 8..=12 {
+        let (h, w) = if out_ch == 9 { (5, 7) } else { (6, 7) };
+        let net = cnn(
+            c,
+            h,
+            w,
+            out_ch,
+            kernel,
+            stride,
+            pad,
+            3,
+            70_100 + out_ch as u64,
+        );
+        let deploy = || {
+            InferenceEngine::from_network_shaped(
+                &net,
+                Some((c, h, w)),
+                DeployedDetection::Differential,
+                MeshStyle::Clements,
+            )
+            .expect("CNN bodies deploy")
+        };
+        let view = image_view(70, c, h, w, 70_200 + out_ch as u64);
+        let bits = |logits: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            logits
+                .iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let want = bits(deploy().predict_batch(&view).expect("sequential logits"));
+        for workers in [2usize, 7] {
+            let got = deploy()
+                .with_num_workers(workers)
+                .predict_batch(&view)
+                .expect("sharded logits");
+            assert_eq!(bits(got), want, "out_ch {out_ch}, workers {workers}");
         }
     }
 }

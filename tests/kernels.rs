@@ -2,10 +2,12 @@
 //! kernels pinned bitwise against the interpreted walk on realistic
 //! (decomposition-produced) meshes, the transfer serving tier pinned
 //! against that walk within its relative bound and bitwise across window
-//! splits, the transpose-free GEMM layouts pinned bitwise against
+//! splits, its one-pass conv entry point pinned bitwise against gather →
+//! batch → channel-major transpose, the transpose-free GEMM layouts pinned bitwise against
 //! transpose-then-multiply, and the persistent executor serving the
 //! sharded engine across worker counts.
 
+use oplix_linalg::lanes::{F64x4, F64x8};
 use oplix_linalg::{CMatrix, Complex64};
 use oplix_nn::ctensor::CTensor;
 use oplix_nn::tensor::Tensor;
@@ -16,7 +18,7 @@ use oplix_photonics::compiled::{
 use oplix_photonics::decoder::DecoderKind;
 use oplix_photonics::reck::decompose_reck;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
-use oplix_photonics::transfer::TransferLayer;
+use oplix_photonics::transfer::{GatherTable, TransferLayer};
 use oplixnet::engine::InferenceEngine;
 use oplixnet::pool;
 use oplixnet::zoo::{build_fcnn, FcnnConfig, ModelVariant};
@@ -91,6 +93,51 @@ fn norm(v: &[Complex64]) -> f64 {
 
 fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
     v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+/// A gather plan of `positions × fan_in` slots over `width`-field
+/// samples, mixing input taps with dark (padding) and reference (bias)
+/// slots.
+fn random_plan(positions: usize, fan_in: usize, width: usize, seed: u64) -> Vec<GatherSource> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..positions * fan_in)
+        .map(|_| match rng.gen_range(0..6u32) {
+            0 => GatherSource::Dark,
+            1 => GatherSource::Reference,
+            _ => GatherSource::Input(rng.gen_range(0..width as u32)),
+        })
+        .collect()
+}
+
+/// The conv reference: every row gathered by hand (`gather_into`), the
+/// whole window served through `forward_batch`, and each sample's
+/// position-major `[P][O]` rows transposed channel-major `[O][P]`.
+fn gather_batch_transpose(
+    transfer: &TransferLayer,
+    plan: &[GatherSource],
+    src: &[Complex64],
+    width: usize,
+) -> Vec<Complex64> {
+    let (m, n) = (transfer.output_dim(), transfer.input_dim());
+    let positions = plan.len() / n;
+    let samples = src.len() / width;
+    let mut rows = vec![Complex64::ZERO; samples * plan.len()];
+    for (sample, dst) in src
+        .chunks_exact(width)
+        .zip(rows.chunks_exact_mut(plan.len()))
+    {
+        gather_into(plan, sample, dst);
+    }
+    transfer.forward_batch(&mut rows, &mut Vec::new(), samples * positions);
+    let mut out = vec![Complex64::ZERO; rows.len()];
+    for s in 0..samples {
+        for p in 0..positions {
+            for o in 0..m {
+                out[(s * m + o) * positions + p] = rows[(s * positions + p) * m + o];
+            }
+        }
+    }
+    out
 }
 
 /// Naive strictly-ascending-`k` f32 matmul: the scalar twin the lane
@@ -279,12 +326,13 @@ proptest! {
         prop_assert_eq!(bits(&rows), bits(&whole));
     }
 
-    /// The blocked im2col entry point is bitwise gathering every row by
-    /// hand and serving the window through `forward_batch`, with plans
-    /// mixing input taps, dark (padding) and reference (bias) modes over
-    /// position counts straddling the gather block.
+    /// The one-pass im2col entry point is bitwise gathering every row by
+    /// hand, serving the window through `forward_batch` and transposing
+    /// each sample channel-major, with plans mixing input taps, dark
+    /// (padding) and reference (bias) modes over position counts
+    /// straddling every lane width.
     #[test]
-    fn transfer_forward_gathered_is_bitwise_gather_then_batch(
+    fn transfer_conv_into_is_bitwise_gather_then_batch(
         m in 1usize..=12,
         n in 1usize..=20,
         positions in 1usize..=70,
@@ -292,25 +340,45 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let width = 9usize;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let plan: Vec<GatherSource> = (0..positions * n)
-            .map(|_| match rng.gen_range(0..6u32) {
-                0 => GatherSource::Dark,
-                1 => GatherSource::Reference,
-                _ => GatherSource::Input(rng.gen_range(0..width as u32)),
-            })
-            .collect();
+        let plan = random_plan(positions, n, width, seed);
         let layer = PhotonicLayer::from_matrix(&random_weights(m, n, seed ^ 1), MeshStyle::Clements);
         let transfer = TransferLayer::compile(&layer);
         let src = random_fields(samples * width, seed ^ 2);
-        let (mut io, mut tmp) = (Vec::new(), Vec::new());
-        transfer.forward_gathered(&src, width, &plan, &mut io, &mut tmp);
-        let mut want = vec![Complex64::ZERO; samples * plan.len()];
-        for (sample, dst) in src.chunks_exact(width).zip(want.chunks_exact_mut(plan.len())) {
-            gather_into(&plan, sample, dst);
-        }
-        transfer.forward_batch(&mut want, &mut tmp, samples * positions);
+        let mut io = vec![Complex64::ZERO; samples * positions * m];
+        transfer.conv_into(&GatherTable::new(&plan, width, n), &src, &mut io);
+        let want = gather_batch_transpose(&transfer, &plan, &src, width);
         prop_assert_eq!(bits(&io), bits(&want));
+    }
+
+    /// Every body of the conv kernel — the portable one at 4 and at 8
+    /// lanes and the dispatched tier — is bitwise the gather → batch →
+    /// transpose reference, for output widths on both sides of the
+    /// lane-orientation switch (`m < 8` gathers into the row-lane block,
+    /// `m ≥ 8` reads through the table per field) and position counts off
+    /// the 4- and 8-lane grid.
+    #[test]
+    fn conv_kernel_bodies_are_bitwise_gather_batch_transpose(
+        m in 1usize..=20,
+        n in 1usize..=100,
+        positions in 1usize..=40,
+        samples in 1usize..=3,
+        width in 1usize..=30,
+        seed in 0u64..u64::MAX,
+    ) {
+        let plan = random_plan(positions, n, width, seed);
+        let table = GatherTable::new(&plan, width, n);
+        prop_assert_eq!(table.plan(), plan.clone());
+        let layer = PhotonicLayer::from_matrix(&random_weights(m, n, seed ^ 1), MeshStyle::Clements);
+        let transfer = TransferLayer::compile(&layer);
+        let src = random_fields(samples * width, seed ^ 2);
+        let want = bits(&gather_batch_transpose(&transfer, &plan, &src, width));
+        let mut got = vec![Complex64::ZERO; samples * positions * m];
+        transfer.conv_into_lanes::<F64x4>(&table, &src, &mut got);
+        prop_assert_eq!(bits(&got), want.clone(), "portable x4");
+        transfer.conv_into_lanes::<F64x8>(&table, &src, &mut got);
+        prop_assert_eq!(bits(&got), want.clone(), "portable x8");
+        transfer.conv_into(&table, &src, &mut got);
+        prop_assert_eq!(bits(&got), want, "dispatched tier");
     }
 }
 
